@@ -18,6 +18,9 @@
 //! [`run_service`] — same model, same journal bytes on disk, same
 //! stats.
 
+mod common;
+
+use common::{model_fingerprint, rng_fingerprint};
 use qd_core::{
     BatchPreempt, Checkpoint, FailReason, FaultFs, JournalRecord, QuickDrop, QuickDropConfig,
     RequestJournal, RequestState, Vfs,
@@ -226,6 +229,7 @@ fn deploy(seed: &PoisonSeed) -> (Federation, QuickDrop, Rng) {
 
 struct Terminal {
     global: Vec<Tensor>,
+    rng: RngState,
     records: Vec<JournalRecord>,
     stats: ServeStats,
     dead_letter: Vec<UnlearnRequest>,
@@ -252,6 +256,7 @@ fn unfailed(seed: &PoisonSeed, paths: &Paths, iso: &IsolationConfig) -> Terminal
     assert_eq!(run.resumed_units, 0);
     Terminal {
         global: fed.global().to_vec(),
+        rng: rng.state(),
         records: journal.records().to_vec(),
         stats: run.stats,
         dead_letter: run.dead_letter.requests(),
@@ -359,6 +364,11 @@ fn poisoned_mix_quarantines_exactly_the_byzantine_requests() {
     let poison = UnlearnRequest::Client(byzantine());
     let seed = poison_seed();
     let t = unfailed(&seed, &paths("poison_unfailed"), &iso());
+    assert_eq!(
+        (model_fingerprint(&t.global), rng_fingerprint(&t.rng)),
+        (0xc55b_c27a_ac89_26bc, 0xa330_6fa1_051a_8a73),
+        "pinned model/RNG fingerprint moved"
+    );
 
     // The dead-letter set is exactly the Byzantine client's request.
     assert_eq!(t.dead_letter, vec![poison]);
