@@ -450,10 +450,18 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
     let report = match mode {
         ServeMode::Unlearn => {
             let outcome = if let Some(journal) = &mut journal {
-                qd.serve_journaled(&mut fed, journal, request, policy.as_ref(), &mut rng, None)
-                    .map_err(CliError::from)?
-                    .into_complete()
-                    .expect("no preemption configured")
+                qd.serve_batch_journaled(
+                    &mut fed,
+                    journal,
+                    &[request],
+                    policy.as_ref(),
+                    &mut rng,
+                    None,
+                )
+                .map_err(CliError::from)?
+                .into_complete()
+                .expect("no preemption configured")
+                .into()
             } else if let Some(policy) = &policy {
                 qd.unlearn_guarded(&mut fed, request, policy, &mut rng)
                     .map_err(|e| CliError::Usage(e.to_string()))?

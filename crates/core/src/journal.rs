@@ -181,8 +181,10 @@ pub struct JournalRecord {
     /// Guard bookkeeping accumulated so far (`None` for unguarded
     /// serving and for RECEIVED records).
     pub guard: Option<GuardStats>,
-    /// The coalesced batch this record belongs to (`None` for requests
-    /// served alone, and for every record of a version-1 journal).
+    /// The unit this record belongs to; a lone request is a batch of
+    /// one. `None` on RELEARNED records, on every record of a version-1
+    /// journal, and on singleton records from builds that served a lone
+    /// request outside the batch protocol.
     pub batch: Option<BatchId>,
     /// Why the request failed (`Some` only on [`RequestState::Failed`]
     /// and [`RequestState::Quarantined`] records).
@@ -945,37 +947,13 @@ impl RequestJournal {
     }
 }
 
-/// How a journaled serve call ended.
-#[derive(Debug)]
-pub enum ServeRun {
-    /// The request was fully served (boxed to keep the enum small).
-    Complete(Box<MethodOutcome>),
-    /// Serving stopped right after appending the record for `state` —
-    /// the deterministic stand-in for a crash at that boundary. Continue
-    /// with [`QuickDrop::resume_requests`].
-    Preempted {
-        /// The last state made durable before stopping.
-        state: RequestState,
-    },
-}
-
-impl ServeRun {
-    /// The completed outcome, or `None` if the run was preempted.
-    pub fn into_complete(self) -> Option<MethodOutcome> {
-        match self {
-            ServeRun::Complete(outcome) => Some(*outcome),
-            ServeRun::Preempted { .. } => None,
-        }
-    }
-}
-
 /// Why a journaled serve call failed.
 #[derive(Debug)]
 pub enum ServeError {
     /// Journal or checkpoint I/O failed.
     Io(std::io::Error),
     /// The divergence guard exhausted its backoff; the federation holds
-    /// the pre-request model. The journal keeps the request at RECEIVED,
+    /// the pre-unit model. The journal keeps the unit's durable records,
     /// so a later resume deterministically surfaces this same error —
     /// the operator decides whether to drop the request or relax the
     /// policy.
@@ -1011,10 +989,10 @@ impl From<JournalError> for ServeError {
     }
 }
 
-/// A durable boundary inside a coalesced batch at which serving can be
-/// preempted — the batch analogue of handing a [`RequestState`] to
-/// [`QuickDrop::serve_journaled`], used by the chaos tests to stand in
-/// for a crash at exactly that point.
+/// A durable boundary inside a journaled unit at which serving can be
+/// preempted — the deterministic stand-in for a crash at exactly that
+/// point, used by the kill-and-resume tests and the chaos harnesses.
+/// A lone request is a unit of one, so every boundary applies to it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPreempt {
     // (serde impls are hand-written below: the vendored derive only
@@ -1022,8 +1000,10 @@ pub enum BatchPreempt {
     /// Right after the atomic RECEIVED set is durable, before any
     /// model change.
     Received,
-    /// Right after this many members (a 1-based count, in journal
-    /// order) have durable UNLEARNED records.
+    /// Right after `min(k, n)` of the unit's `n` active members (a
+    /// 1-based count, in journal order) have durable UNLEARNED records:
+    /// a count past the unit's size fires after its last member, so
+    /// `Unlearned(2)` still kills a unit of one.
     Unlearned(usize),
     /// Right after the atomic RECOVERED set is durable, before
     /// returning.
@@ -1097,8 +1077,6 @@ impl BatchRun {
 /// What a completed coalesced batch cost and produced.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
-    /// The batch's journal identifier.
-    pub batch: BatchId,
     /// Per-member ascent accounting, in journal order. Members whose
     /// ascent ran in a previous process (batch finished by resume)
     /// report [`PhaseStats::default`] — the accounting died with that
@@ -1113,12 +1091,29 @@ pub struct BatchOutcome {
     pub guard: Option<GuardStats>,
 }
 
+/// A unit's outcome as one request's: the member ascents' costs merged
+/// into one unlearning stage.
+impl From<BatchOutcome> for MethodOutcome {
+    fn from(outcome: BatchOutcome) -> Self {
+        let mut unlearn = PhaseStats::default();
+        for member in &outcome.unlearn {
+            unlearn.merge(member);
+        }
+        MethodOutcome {
+            unlearn,
+            recovery: outcome.recovery,
+            post_unlearn_params: outcome.post_unlearn_params,
+            guard: outcome.guard,
+        }
+    }
+}
+
 /// How a [`QuickDrop::resume_requests_until`] call ended.
 #[derive(Debug)]
 pub enum ResumeRun {
     /// The journal tail was finished (or nothing needed finishing);
-    /// carries the outcome of the request finished during resume, if
-    /// any (boxed to keep the enum small).
+    /// carries the outcome of the unit finished during resume, if any
+    /// (boxed to keep the enum small).
     Complete(Option<Box<MethodOutcome>>),
     /// Finishing stopped right after `boundary` became durable — the
     /// deterministic crash stand-in, as in [`BatchRun::Preempted`].
@@ -1128,224 +1123,12 @@ pub enum ResumeRun {
     },
 }
 
+/// Called after each accepted member of a unit with the member's index
+/// and its boundary state; returning `true` stops the unit there.
+type AfterMember<'a> =
+    dyn FnMut(usize, &Federation, &Rng, &GuardStats) -> Result<bool, ServeError> + 'a;
+
 impl QuickDrop {
-    /// Serves one request with every stage boundary made durable in
-    /// `journal` before the next stage runs (write-ahead discipline:
-    /// RECEIVED before any model change, UNLEARNED before recovery,
-    /// RECOVERED before returning).
-    ///
-    /// With a `policy`, the ascent stage runs under the divergence guard
-    /// exactly as in [`QuickDrop::unlearn_guarded`] — drift/non-finite
-    /// gate, rollback, halved-LR retries — and the UNLEARNED record is
-    /// only written for a guard-accepted ascent, so the journal never
-    /// certifies a diverged model. `preempt_at` stops serving right
-    /// after that state's record is durable, *without* any further
-    /// writes — a deterministic crash stand-in for the resume tests.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Io`] on journal I/O failure (the request may be
-    /// partially served; the journal tells how far), or
-    /// [`ServeError::Diverged`] when the guard exhausted its backoff
-    /// (model and RNG rolled back; no UNLEARNED record written).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` fails [`GuardPolicy::validate`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn serve_journaled(
-        &mut self,
-        fed: &mut Federation,
-        journal: &mut RequestJournal,
-        request: UnlearnRequest,
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-        preempt_at: Option<RequestState>,
-    ) -> Result<ServeRun, ServeError> {
-        if let Some(policy) = policy {
-            if let Err(msg) = policy.validate() {
-                // qd-lint: allow(panic-safety) -- policy validation failure
-                // is a documented caller bug (`# Panics`), not a runtime
-                // condition
-                panic!("invalid guard policy: {msg}");
-            }
-        }
-        let seq = journal.next_seq();
-        journal.append(JournalRecord {
-            seq,
-            request,
-            state: RequestState::Received,
-            rng: rng.state(),
-            global: fed.global().to_vec(),
-            guard: None,
-            batch: None,
-            reason: None,
-        })?;
-        if preempt_at == Some(RequestState::Received) {
-            return Ok(ServeRun::Preempted {
-                state: RequestState::Received,
-            });
-        }
-        self.finish_from_received(fed, journal, seq, request, policy, rng, preempt_at)
-    }
-
-    /// Runs ascent (guarded when `policy` is set) from the current
-    /// federation state, appends the UNLEARNED record, then recovery and
-    /// the RECOVERED record. Shared by [`QuickDrop::serve_journaled`]
-    /// and the RECEIVED arm of [`QuickDrop::resume_requests`].
-    #[allow(clippy::too_many_arguments)]
-    fn finish_from_received(
-        &mut self,
-        fed: &mut Federation,
-        journal: &mut RequestJournal,
-        seq: u64,
-        request: UnlearnRequest,
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-        preempt_at: Option<RequestState>,
-    ) -> Result<ServeRun, ServeError> {
-        let reference = fed.global().to_vec();
-        let rng_mark = rng.state();
-        let mut stats = GuardStats::default();
-        let mut last_violation = GuardViolation::NonFinite;
-        let mut lr_scale = policy.map_or(1.0f32, |p| p.ascent_lr_scale);
-        let retries = policy.map_or(0, |p| p.ascent_retries);
-        let mut accepted: Option<PhaseStats> = None;
-        for attempt in 0..=retries {
-            let (unlearn, post) = self.ascent_stage(fed, request, rng, lr_scale);
-            stats.steps += 1;
-            stats.final_drift = relative_drift(&post, &reference);
-            let gate = match policy {
-                Some(policy) => {
-                    check_attempt(policy, fed.model().as_ref(), &reference, &post, &post, None)
-                        .map(|_| ())
-                }
-                None => Ok(()),
-            };
-            match gate {
-                Ok(()) => {
-                    accepted = Some(unlearn);
-                    break;
-                }
-                Err(violation) => {
-                    last_violation = violation;
-                    fed.set_global(reference.clone());
-                    *rng = Rng::from_state(&rng_mark);
-                    stats.rollbacks += 1;
-                    if attempt < retries {
-                        lr_scale *= 0.5;
-                        stats.lr_halvings += 1;
-                    }
-                }
-            }
-        }
-        let Some(unlearn) = accepted else {
-            return Err(ServeError::Diverged(UnlearnError::Diverged {
-                violation: last_violation,
-                stats,
-            }));
-        };
-        let post_unlearn_params = fed.global().to_vec();
-        self.mark_unlearned(request);
-        journal.append(JournalRecord {
-            seq,
-            request,
-            state: RequestState::Unlearned,
-            rng: rng.state(),
-            global: post_unlearn_params.clone(),
-            guard: policy.map(|_| stats),
-            batch: None,
-            reason: None,
-        })?;
-        if preempt_at == Some(RequestState::Unlearned) {
-            return Ok(ServeRun::Preempted {
-                state: RequestState::Unlearned,
-            });
-        }
-        let (recovery, stats) = self.finish_from_unlearned(
-            fed,
-            &reference,
-            &post_unlearn_params,
-            request,
-            policy,
-            stats,
-            rng,
-        )?;
-        journal.append(JournalRecord {
-            seq,
-            request,
-            state: RequestState::Recovered,
-            rng: rng.state(),
-            global: fed.global().to_vec(),
-            guard: stats,
-            batch: None,
-            reason: None,
-        })?;
-        if preempt_at == Some(RequestState::Recovered) {
-            return Ok(ServeRun::Preempted {
-                state: RequestState::Recovered,
-            });
-        }
-        Ok(ServeRun::Complete(Box::new(MethodOutcome {
-            unlearn,
-            recovery,
-            post_unlearn_params,
-            guard: stats,
-        })))
-    }
-
-    /// Recovery stage plus the post-recovery guard check (non-finite +
-    /// retain probe; the drift term re-measures the persisted ascent
-    /// result, so a resumed run reproduces the same `final_drift`).
-    /// Rolls the model, RNG and forgotten-state marks back to
-    /// `reference` on violation.
-    #[allow(clippy::too_many_arguments)]
-    fn finish_from_unlearned(
-        &mut self,
-        fed: &mut Federation,
-        reference: &[Tensor],
-        post_unlearn_params: &[Tensor],
-        request: UnlearnRequest,
-        policy: Option<&GuardPolicy>,
-        mut stats: GuardStats,
-        rng: &mut Rng,
-    ) -> Result<(PhaseStats, Option<GuardStats>), ServeError> {
-        let rng_mark = rng.state();
-        let recovery = self.recovery_stage(fed, rng);
-        if let Some(policy) = policy {
-            let probe = probe_sample(&self.synthetic_retain(), policy.probe_samples);
-            match check_attempt(
-                policy,
-                fed.model().as_ref(),
-                reference,
-                post_unlearn_params,
-                fed.global(),
-                probe.as_ref(),
-            ) {
-                Ok(drift) => {
-                    stats.final_drift = drift;
-                    Ok((recovery, Some(stats)))
-                }
-                Err(violation) => {
-                    // A recovered model failing the probe is surfaced,
-                    // not retried: the ascent was already accepted, and
-                    // re-running recovery from the same state is
-                    // deterministic. Roll everything back instead.
-                    self.unmark_unlearned(request);
-                    fed.set_global(reference.to_vec());
-                    *rng = Rng::from_state(&rng_mark);
-                    stats.rollbacks += 1;
-                    Err(ServeError::Diverged(UnlearnError::Diverged {
-                        violation,
-                        stats,
-                    }))
-                }
-            }
-        } else {
-            Ok((recovery, None))
-        }
-    }
-
     /// Serves a coalesced batch of compatible requests through the
     /// journal as one unit: an atomic RECEIVED set for every member,
     /// per-member guarded ascents (each with its own UNLEARNED record,
@@ -1353,6 +1136,7 @@ impl QuickDrop {
     /// shared recovery pass** — QuickDrop's "sequential requests"
     /// observation made operational: n compatible forget requests cost
     /// n ascents but a single recovery — and an atomic RECOVERED set.
+    /// A lone request is served as a batch of one.
     ///
     /// All records carry the same fresh [`BatchId`], which is what lets
     /// [`QuickDrop::resume_requests`] replay a partially-applied batch
@@ -1434,11 +1218,11 @@ impl QuickDrop {
         self.finish_batch(
             fed,
             journal,
-            batch,
+            Some(batch),
             &members,
             0,
-            batch_reference,
-            batch_rng,
+            &batch_reference,
+            &batch_rng,
             GuardStats::default(),
             policy,
             rng,
@@ -1446,32 +1230,118 @@ impl QuickDrop {
         )
     }
 
-    /// Runs a batch from its first un-unlearned member: guarded ascent +
-    /// UNLEARNED record per remaining member, one shared recovery, then
-    /// the atomic RECOVERED set. Shared by
-    /// [`QuickDrop::serve_batch_journaled`] (`done == 0`) and the batch
-    /// arm of [`QuickDrop::resume_requests`] (`done` = members whose
-    /// UNLEARNED records survived the crash).
+    /// Runs a unit from its first un-unlearned member through
+    /// [`QuickDrop::guarded_unit`], journaling an UNLEARNED record per
+    /// member and then the atomic RECOVERED set, every record tagged
+    /// `batch`. Shared by [`QuickDrop::serve_batch_journaled`]
+    /// (`done == 0`) and [`QuickDrop::resume_requests_until`] (`done` =
+    /// members whose UNLEARNED records survived the crash).
     #[allow(clippy::too_many_arguments)]
     fn finish_batch(
         &mut self,
         fed: &mut Federation,
         journal: &mut RequestJournal,
-        batch: BatchId,
+        batch: Option<BatchId>,
         members: &[(u64, UnlearnRequest)],
         done: usize,
-        batch_reference: Vec<Tensor>,
-        batch_rng: RngState,
+        batch_reference: &[Tensor],
+        batch_rng: &RngState,
         mut stats: GuardStats,
         policy: Option<&GuardPolicy>,
         rng: &mut Rng,
         preempt_at: Option<BatchPreempt>,
     ) -> Result<BatchRun, ServeError> {
-        let mut unlearn_stats: Vec<PhaseStats> = vec![PhaseStats::default(); done];
-        for (index, &(seq, request)) in members.iter().enumerate().skip(done) {
-            // Each member's guard measures drift against the state just
-            // before that member's ascent — the same reference a
-            // sequential (uncoalesced) run would use.
+        // The one place `Unlearned(k)` is resolved against the unit:
+        // it fires after member min(k, n).
+        let stop_after = match preempt_at {
+            Some(BatchPreempt::Unlearned(k)) => k.min(members.len()),
+            _ => 0,
+        };
+        let requests: Vec<UnlearnRequest> = members.iter().map(|&(_, r)| r).collect();
+        let outcome = self.guarded_unit(
+            fed,
+            &requests,
+            done,
+            batch_reference,
+            batch_rng,
+            policy,
+            &mut stats,
+            rng,
+            &mut |index, fed, rng, stats| {
+                let Some(&(seq, request)) = members.get(index) else {
+                    return Ok(false);
+                };
+                journal.append(JournalRecord {
+                    seq,
+                    request,
+                    state: RequestState::Unlearned,
+                    rng: rng.state(),
+                    global: fed.global().to_vec(),
+                    guard: policy.map(|_| *stats),
+                    batch,
+                    reason: None,
+                })?;
+                Ok(index + 1 == stop_after)
+            },
+        )?;
+        let Some(outcome) = outcome else {
+            return Ok(BatchRun::Preempted {
+                boundary: BatchPreempt::Unlearned(stop_after),
+            });
+        };
+        let recovered: Vec<JournalRecord> = members
+            .iter()
+            .map(|&(seq, request)| JournalRecord {
+                seq,
+                request,
+                state: RequestState::Recovered,
+                rng: rng.state(),
+                global: fed.global().to_vec(),
+                guard: outcome.guard,
+                batch,
+                reason: None,
+            })
+            .collect();
+        journal.append_all(recovered)?;
+        if preempt_at == Some(BatchPreempt::Recovered) {
+            return Ok(BatchRun::Preempted {
+                boundary: BatchPreempt::Recovered,
+            });
+        }
+        Ok(BatchRun::Complete(Box::new(outcome)))
+    }
+
+    /// The guarded body of one unit, the only copy of it: journaled
+    /// serving and [`QuickDrop::probe_unit`] both run it, which is what
+    /// makes a probe's verdict the real run's.
+    ///
+    /// For each of `members[done..]`: a guarded ascent (drift and
+    /// non-finite gate against the state just before that member, with
+    /// rollback and halved-LR retries), the member's forgotten-state
+    /// mark, then `after_member` — returning `Ok(None)` if it asks to
+    /// stop. Then one shared recovery, gated with the retain probe
+    /// against `unit_reference`. Without a `policy` nothing is gated.
+    ///
+    /// On divergence the whole unit rolls back — marks cleared, model
+    /// back to `unit_reference`, RNG back to `unit_rng` (failed ascent)
+    /// or to its pre-recovery position (failed recovery: re-running a
+    /// deterministic recovery from an accepted ascent cannot help) —
+    /// and the error carries the guard stats.
+    #[allow(clippy::too_many_arguments)]
+    fn guarded_unit(
+        &mut self,
+        fed: &mut Federation,
+        members: &[UnlearnRequest],
+        done: usize,
+        unit_reference: &[Tensor],
+        unit_rng: &RngState,
+        policy: Option<&GuardPolicy>,
+        stats: &mut GuardStats,
+        rng: &mut Rng,
+        after_member: &mut AfterMember<'_>,
+    ) -> Result<Option<BatchOutcome>, ServeError> {
+        let mut unlearn = vec![PhaseStats::default(); done];
+        for (index, &request) in members.iter().enumerate().skip(done) {
             let member_reference = fed.global().to_vec();
             let rng_mark = rng.state();
             let mut last_violation = GuardViolation::NonFinite;
@@ -1479,7 +1349,7 @@ impl QuickDrop {
             let retries = policy.map_or(0, |p| p.ascent_retries);
             let mut accepted: Option<PhaseStats> = None;
             for attempt in 0..=retries {
-                let (unlearn, post) = self.ascent_stage(fed, request, rng, lr_scale);
+                let (phase, post) = self.ascent_stage(fed, request, rng, lr_scale);
                 stats.steps += 1;
                 stats.final_drift = relative_drift(&post, &member_reference);
                 let gate = match policy {
@@ -1496,7 +1366,7 @@ impl QuickDrop {
                 };
                 match gate {
                     Ok(()) => {
-                        accepted = Some(unlearn);
+                        accepted = Some(phase);
                         break;
                     }
                     Err(violation) => {
@@ -1511,105 +1381,72 @@ impl QuickDrop {
                     }
                 }
             }
-            let Some(unlearn) = accepted else {
-                // One member diverging fails the whole batch: clear the
-                // marks of the members already unlearned and return to
-                // the pre-batch boundary. Everything restored here is
-                // journal-derivable, so resume reproduces this error
-                // and this end state exactly.
-                for &(_, done_request) in &members[..index] {
-                    self.unmark_unlearned(done_request);
+            let Some(phase) = accepted else {
+                // Everything restored here is journal-derivable, so a
+                // resume reproduces this error and this end state.
+                for &earlier in &members[..index] {
+                    self.unmark_unlearned(earlier);
                 }
-                fed.set_global(batch_reference);
-                *rng = Rng::from_state(&batch_rng);
+                fed.set_global(unit_reference.to_vec());
+                *rng = Rng::from_state(unit_rng);
                 return Err(ServeError::Diverged(UnlearnError::Diverged {
                     violation: last_violation,
-                    stats,
+                    stats: *stats,
                 }));
             };
             self.mark_unlearned(request);
-            journal.append(JournalRecord {
-                seq,
-                request,
-                state: RequestState::Unlearned,
-                rng: rng.state(),
-                global: fed.global().to_vec(),
-                guard: policy.map(|_| stats),
-                batch: Some(batch),
-                reason: None,
-            })?;
-            unlearn_stats.push(unlearn);
-            if preempt_at == Some(BatchPreempt::Unlearned(index + 1)) {
-                return Ok(BatchRun::Preempted {
-                    boundary: BatchPreempt::Unlearned(index + 1),
-                });
+            unlearn.push(phase);
+            if after_member(index, fed, rng, stats)? {
+                return Ok(None);
             }
         }
-        // One shared recovery pass amortized over the whole batch.
+        // One shared recovery pass amortized over the whole unit.
         let post_unlearn_params = fed.global().to_vec();
         let rng_mark = rng.state();
         let recovery = self.recovery_stage(fed, rng);
-        let final_stats = if let Some(policy) = policy {
+        if let Some(policy) = policy {
             let probe = probe_sample(&self.synthetic_retain(), policy.probe_samples);
             match check_attempt(
                 policy,
                 fed.model().as_ref(),
-                &batch_reference,
+                unit_reference,
                 &post_unlearn_params,
                 fed.global(),
                 probe.as_ref(),
             ) {
-                Ok(drift) => {
-                    stats.final_drift = drift;
-                    Some(stats)
-                }
+                Ok(drift) => stats.final_drift = drift,
                 Err(violation) => {
-                    for &(_, request) in members {
+                    for &request in members {
                         self.unmark_unlearned(request);
                     }
-                    fed.set_global(batch_reference);
+                    fed.set_global(unit_reference.to_vec());
                     *rng = Rng::from_state(&rng_mark);
                     stats.rollbacks += 1;
                     return Err(ServeError::Diverged(UnlearnError::Diverged {
                         violation,
-                        stats,
+                        stats: *stats,
                     }));
                 }
             }
-        } else {
-            None
-        };
-        let recovered: Vec<JournalRecord> = members
-            .iter()
-            .map(|&(seq, request)| JournalRecord {
-                seq,
-                request,
-                state: RequestState::Recovered,
-                rng: rng.state(),
-                global: fed.global().to_vec(),
-                guard: final_stats,
-                batch: Some(batch),
-                reason: None,
-            })
-            .collect();
-        journal.append_all(recovered)?;
-        if preempt_at == Some(BatchPreempt::Recovered) {
-            return Ok(BatchRun::Preempted {
-                boundary: BatchPreempt::Recovered,
-            });
         }
-        Ok(BatchRun::Complete(Box::new(BatchOutcome {
-            batch,
-            unlearn: unlearn_stats,
+        Ok(Some(BatchOutcome {
+            unlearn,
             recovery,
             post_unlearn_params,
-            guard: final_stats,
-        })))
+            guard: policy.map(|_| *stats),
+        }))
     }
 
     /// Restores previously erased knowledge through the journal: relearns
     /// with [`qd_unlearn::UnlearningMethod::relearn`] semantics on the
     /// synthetic forget set, then appends the terminal RELEARNED record.
+    ///
+    /// Only a request whose latest model-changing record is RECOVERED can
+    /// be relearned (FAILED and QUARANTINED records never touched the
+    /// model and are skipped): a request already RELEARNED, or one whose
+    /// later forget is still in flight, is refused, so the forward-only
+    /// state machine never sees a second RELEARNED for one sequence
+    /// number.
     ///
     /// A crash mid-relearn leaves the journal at RECOVERED; resume treats
     /// the relearn as never started (the caller re-submits it), matching
@@ -1618,8 +1455,8 @@ impl QuickDrop {
     /// # Errors
     ///
     /// [`ServeError::Io`] on journal I/O failure, or with kind
-    /// [`std::io::ErrorKind::InvalidData`] when the journal holds no
-    /// RECOVERED record for `request`.
+    /// [`std::io::ErrorKind::InvalidData`] when the request's latest
+    /// model-changing record is not RECOVERED (or it has none).
     pub fn relearn_journaled(
         &mut self,
         fed: &mut Federation,
@@ -1628,18 +1465,26 @@ impl QuickDrop {
         phase: &qd_fed::Phase,
         rng: &mut Rng,
     ) -> Result<PhaseStats, ServeError> {
-        let seq = journal
-            .records()
-            .iter()
-            .rev()
-            .find(|r| r.request == request && r.state == RequestState::Recovered)
-            .map(|r| r.seq)
-            .ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("journal holds no recovered request matching {request}"),
-                )
-            })?;
+        let latest = journal.records().iter().rev().find(|r| {
+            r.request == request
+                && !matches!(r.state, RequestState::Failed | RequestState::Quarantined)
+        });
+        let seq = match latest {
+            Some(r) if r.state == RequestState::Recovered => r.seq,
+            other => {
+                let why = other.map_or_else(
+                    || format!("journal holds no recovered request matching {request}"),
+                    |r| {
+                        format!(
+                            "{request} is {} in the journal (seq {}); only a RECOVERED \
+                             request can be relearned",
+                            r.state, r.seq
+                        )
+                    },
+                );
+                return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, why).into());
+            }
+        };
         use qd_unlearn::UnlearningMethod as _;
         let stats = self
             .relearn(fed, request, phase, rng)
@@ -1664,22 +1509,25 @@ impl QuickDrop {
     /// (idempotently), restores the global model and RNG stream from the
     /// **last** record — the journal, not the checkpoint, is the source
     /// of truth for anything that happened after the checkpoint was
-    /// written — and finishes the incomplete stages of the last request,
+    /// written — and finishes the incomplete stages of the last unit,
     /// if any.
     ///
-    /// Requests are served sequentially, so at most the last journaled
-    /// request can be incomplete; the continuation reproduces the
+    /// Units are served sequentially, so at most the last journaled
+    /// unit can be incomplete; the continuation reproduces the
     /// uninterrupted run bit-for-bit (same model bits, same RNG stream,
     /// same persisted [`GuardStats`]) provided `policy` matches the
-    /// original run's.
+    /// original run's. An unbatched in-flight tail — the singleton
+    /// records of a version-1/2 journal or of an earlier build — is
+    /// finished as a unit of one, and the records written while
+    /// finishing it stay unbatched.
     ///
-    /// Returns the outcome of the request finished during resume, or
+    /// Returns the outcome of the unit finished during resume, or
     /// `None` when the journal was empty or already fully served.
     ///
     /// # Errors
     ///
     /// [`ServeError::Io`] on journal I/O failure, or
-    /// [`ServeError::Diverged`] when finishing the incomplete request
+    /// [`ServeError::Diverged`] when finishing the incomplete unit
     /// trips the guard (deterministically the same outcome the
     /// uninterrupted run would have had).
     ///
@@ -1712,6 +1560,13 @@ impl QuickDrop {
     /// crash-resumed one execute identical code from identical
     /// journal-derived state.
     ///
+    /// The in-flight unit's membership and progress both come from the
+    /// journal: the RECEIVED set (atomic, so never half-written) lists
+    /// the members, QUARANTINED and FAILED records subtract the members
+    /// isolated or shed out of it, and the UNLEARNED records say how
+    /// many active ascents were accepted before the crash. A unit whose
+    /// every member is quarantined or shed has nothing left to do.
+    ///
     /// # Errors
     ///
     /// As [`QuickDrop::resume_requests`].
@@ -1735,165 +1590,32 @@ impl QuickDrop {
                 panic!("invalid guard policy: {msg}");
             }
         }
+        self.restore_tail(fed, journal, rng);
         let Some(last) = journal.last().cloned() else {
             return Ok(ResumeRun::Complete(None));
         };
-        // Replay the forgotten-state marks in journal order. Marking is
-        // idempotent (set semantics), so records already reflected in
-        // the checkpoint apply harmlessly a second time. FAILED and
-        // QUARANTINED requests never touched the model, so they mark
-        // nothing.
-        for record in journal.records() {
-            match record.state {
-                RequestState::Unlearned | RequestState::Recovered => {
-                    self.mark_unlearned(record.request);
-                }
-                RequestState::Relearned => self.unmark_unlearned(record.request),
-                RequestState::Received | RequestState::Failed | RequestState::Quarantined => {}
-            }
-        }
-        fed.set_global(last.global.clone());
-        *rng = Rng::from_state(&last.rng);
-        if let Some(batch) = last.batch {
-            return self.resume_batch(fed, journal, batch, &last, policy, rng, preempt_at);
-        }
-        // For a singleton request the batch-level boundaries map onto
-        // the request states (`Unlearned(_)` can only mean the one
-        // member); the isolation-only boundaries cannot occur here.
-        let preempt = preempt_at.and_then(|boundary| match boundary {
-            BatchPreempt::Received => Some(RequestState::Received),
-            BatchPreempt::Unlearned(_) => Some(RequestState::Unlearned),
-            BatchPreempt::Recovered => Some(RequestState::Recovered),
-            BatchPreempt::Quarantined | BatchPreempt::Failed => None,
-        });
-        match last.state {
-            RequestState::Recovered
-            | RequestState::Relearned
-            | RequestState::Failed
-            | RequestState::Quarantined => Ok(ResumeRun::Complete(None)),
-            RequestState::Received => {
-                // Crash before (or during) ascent: the RECEIVED record
-                // holds the pre-request state we just restored; run the
-                // request start to finish. RECEIVED marks nothing, so
-                // the mark replay above left this request untouched.
-                let run = self.finish_from_received(
-                    fed,
-                    journal,
-                    last.seq,
-                    last.request,
-                    policy,
-                    rng,
-                    preempt,
-                )?;
-                Ok(match run {
-                    ServeRun::Complete(outcome) => ResumeRun::Complete(Some(outcome)),
-                    ServeRun::Preempted { state } => ResumeRun::Preempted {
-                        boundary: match state {
-                            RequestState::Unlearned => BatchPreempt::Unlearned(1),
-                            _ => BatchPreempt::Recovered,
-                        },
-                    },
-                })
-            }
-            RequestState::Unlearned => {
-                // Crash between ascent and recovery: the pre-request
-                // reference lives in this request's RECEIVED record.
-                let reference = journal
-                    .records()
-                    .iter()
-                    .find(|r| r.seq == last.seq && r.state == RequestState::Received)
-                    .map(|r| r.global.clone())
-                    .ok_or_else(|| {
-                        std::io::Error::new(
-                            std::io::ErrorKind::InvalidData,
-                            format!(
-                                "journal record {} is UNLEARNED without a RECEIVED record",
-                                last.seq
-                            ),
-                        )
-                    })?;
-                let stats = last.guard.unwrap_or_default();
-                let (recovery, stats) = self.finish_from_unlearned(
-                    fed,
-                    &reference,
-                    &last.global,
-                    last.request,
-                    policy,
-                    stats,
-                    rng,
-                )?;
-                journal.append(JournalRecord {
-                    seq: last.seq,
-                    request: last.request,
-                    state: RequestState::Recovered,
-                    rng: rng.state(),
-                    global: fed.global().to_vec(),
-                    guard: stats,
-                    batch: None,
-                    reason: None,
-                })?;
-                if preempt == Some(RequestState::Recovered) {
-                    return Ok(ResumeRun::Preempted {
-                        boundary: BatchPreempt::Recovered,
-                    });
-                }
-                Ok(ResumeRun::Complete(Some(Box::new(MethodOutcome {
-                    // The ascent's cost accounting died with the original
-                    // process; the model/RNG state did not.
-                    unlearn: PhaseStats::default(),
-                    recovery,
-                    post_unlearn_params: last.global,
-                    guard: stats,
-                }))))
-            }
-        }
-    }
-
-    /// The batch arm of [`QuickDrop::resume_requests`]: membership and
-    /// progress both come from the journal — the RECEIVED set (atomic,
-    /// so never half-written) lists the members, QUARANTINED and FAILED
-    /// records subtract the members isolated or shed out of the batch,
-    /// the UNLEARNED records say how many active ascents were accepted
-    /// before the crash, and the caller has already restored model/RNG
-    /// from the last record and replayed the forgotten-state marks.
-    /// `finish_batch` then runs the remaining members and the
-    /// shared recovery exactly as the uninterrupted run would have. A
-    /// batch whose every member is quarantined or shed has nothing left
-    /// to do.
-    #[allow(clippy::too_many_arguments)]
-    fn resume_batch(
-        &mut self,
-        fed: &mut Federation,
-        journal: &mut RequestJournal,
-        batch: BatchId,
-        last: &JournalRecord,
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-        preempt_at: Option<BatchPreempt>,
-    ) -> Result<ResumeRun, ServeError> {
         if matches!(
             last.state,
             RequestState::Recovered | RequestState::Relearned
         ) {
             return Ok(ResumeRun::Complete(None));
         }
+        // The in-flight unit's records: its batch's, or for an unbatched
+        // tail, the last request's alone.
+        let unit = last.batch;
+        let in_unit = |r: &&JournalRecord| r.batch == unit && (unit.is_some() || r.seq == last.seq);
         let inactive: Vec<u64> = journal
             .records()
             .iter()
-            .filter(|r| {
-                r.batch == Some(batch)
-                    && matches!(r.state, RequestState::Quarantined | RequestState::Failed)
-            })
+            .filter(in_unit)
+            .filter(|r| matches!(r.state, RequestState::Quarantined | RequestState::Failed))
             .map(|r| r.seq)
             .collect();
         let members: Vec<(u64, UnlearnRequest)> = journal
             .records()
             .iter()
-            .filter(|r| {
-                r.batch == Some(batch)
-                    && r.state == RequestState::Received
-                    && !inactive.contains(&r.seq)
-            })
+            .filter(in_unit)
+            .filter(|r| r.state == RequestState::Received && !inactive.contains(&r.seq))
             .map(|r| (r.seq, r.request))
             .collect();
         if members.is_empty() {
@@ -1902,51 +1624,40 @@ impl QuickDrop {
         let done = journal
             .records()
             .iter()
-            .filter(|r| {
-                r.batch == Some(batch)
-                    && r.state == RequestState::Unlearned
-                    && !inactive.contains(&r.seq)
-            })
+            .filter(in_unit)
+            .filter(|r| r.state == RequestState::Unlearned && !inactive.contains(&r.seq))
             .count();
-        // Every member's RECEIVED record carries the same pre-batch
+        // Every member's RECEIVED record carries the same pre-unit
         // state, so any of them (quarantined or not) supplies the
         // reference.
-        let (batch_reference, batch_rng) = journal
+        let (unit_reference, unit_rng) = journal
             .records()
             .iter()
-            .find(|r| r.batch == Some(batch) && r.state == RequestState::Received)
+            .filter(in_unit)
+            .find(|r| r.state == RequestState::Received)
             .map(|r| (r.global.clone(), r.rng.clone()))
             .ok_or_else(|| {
+                let unit = unit.map_or_else(|| format!("request {}", last.seq), |b| b.to_string());
                 std::io::Error::new(
                     std::io::ErrorKind::InvalidData,
-                    format!("journal holds {batch} records without a RECEIVED set"),
+                    format!("journal holds {unit} records without a RECEIVED set"),
                 )
             })?;
-        let stats = last.guard.unwrap_or_default();
         let run = self.finish_batch(
             fed,
             journal,
-            batch,
+            unit,
             &members,
             done,
-            batch_reference,
-            batch_rng,
-            stats,
+            &unit_reference,
+            &unit_rng,
+            last.guard.unwrap_or_default(),
             policy,
             rng,
             preempt_at,
         )?;
         Ok(match run {
-            BatchRun::Complete(outcome) => {
-                ResumeRun::Complete(Some(Box::new(MethodOutcome {
-                    // Ascent accounting from before the crash died with
-                    // the original process; the model/RNG state did not.
-                    unlearn: PhaseStats::default(),
-                    recovery: outcome.recovery,
-                    post_unlearn_params: outcome.post_unlearn_params,
-                    guard: outcome.guard,
-                })))
-            }
+            BatchRun::Complete(outcome) => ResumeRun::Complete(Some(Box::new((*outcome).into()))),
             BatchRun::Preempted { boundary } => ResumeRun::Preempted { boundary },
         })
     }
@@ -1955,17 +1666,16 @@ impl QuickDrop {
     /// coalesced unit from the **current** live state (model, RNG
     /// stream, forgotten-state marks) succeed under `policy`?
     ///
-    /// Runs the exact operation sequence `finish_batch` would —
-    /// per-member guarded ascents with in-guard rollback/LR-halving,
-    /// marks, one shared recovery, the post-recovery probe check — on a
-    /// cloned RNG stream, then restores the model and marks, so the
-    /// live state is untouched whatever the verdict. Because the trial
-    /// and the real execution perform identical operations from
-    /// identical state, a `true` here guarantees the subsequent real
-    /// (journaled) execution of the same unit under the same policy
-    /// accepts — which is what lets the failure-isolation executor pick
-    /// a retry-ladder rung (and bisect poison members) *before* writing
-    /// anything, keeping the ladder position journal-derivable.
+    /// Runs the unit body journaled serving runs (the private
+    /// `guarded_unit`, its only copy) on a cloned RNG stream, then
+    /// restores the model and marks, so the live state is untouched
+    /// whatever the verdict. Because the trial and the real execution
+    /// run the same code from identical state, a `true` here guarantees
+    /// the subsequent real (journaled) execution of the same unit under
+    /// the same policy accepts — which is what lets the
+    /// failure-isolation executor pick a retry-ladder rung (and bisect
+    /// poison members) *before* writing anything, keeping the ladder
+    /// position journal-derivable.
     ///
     /// # Panics
     ///
@@ -1989,53 +1699,21 @@ impl QuickDrop {
         assert!(!requests.is_empty(), "cannot probe an empty unit");
         let reference = fed.global().to_vec();
         let marks = self.marks_snapshot();
-        let mut rng = Rng::from_state(&rng.state());
-        let mut ok = true;
-        for &request in requests {
-            let member_reference = fed.global().to_vec();
-            let rng_mark = rng.state();
-            let mut lr_scale = policy.ascent_lr_scale;
-            let mut accepted = false;
-            for attempt in 0..=policy.ascent_retries {
-                let (_, post) = self.ascent_stage(fed, request, &mut rng, lr_scale);
-                let gate = check_attempt(
-                    policy,
-                    fed.model().as_ref(),
-                    &member_reference,
-                    &post,
-                    &post,
-                    None,
-                );
-                if gate.is_ok() {
-                    accepted = true;
-                    break;
-                }
-                fed.set_global(member_reference.clone());
-                rng = Rng::from_state(&rng_mark);
-                if attempt < policy.ascent_retries {
-                    lr_scale *= 0.5;
-                }
-            }
-            if !accepted {
-                ok = false;
-                break;
-            }
-            self.mark_unlearned(request);
-        }
-        if ok {
-            let post_unlearn = fed.global().to_vec();
-            let _ = self.recovery_stage(fed, &mut rng);
-            let probe = probe_sample(&self.synthetic_retain(), policy.probe_samples);
-            ok = check_attempt(
-                policy,
-                fed.model().as_ref(),
+        let start = rng.state();
+        let mut rng = Rng::from_state(&start);
+        let ok = self
+            .guarded_unit(
+                fed,
+                requests,
+                0,
                 &reference,
-                &post_unlearn,
-                fed.global(),
-                probe.as_ref(),
+                &start,
+                Some(policy),
+                &mut GuardStats::default(),
+                &mut rng,
+                &mut |_, _, _, _| Ok(false),
             )
             .is_ok();
-        }
         fed.set_global(reference);
         self.marks_restore(marks);
         ok
@@ -2043,17 +1721,20 @@ impl QuickDrop {
 
     /// Restores live state (forgotten-state marks, global model, RNG
     /// stream) from the journal tail **without finishing anything** —
-    /// the failure-isolation executor's resume entry point. Unlike
+    /// the failure-isolation executor's resume entry point, and the
+    /// first step of [`QuickDrop::resume_requests_until`]. Unlike
     /// [`QuickDrop::resume_requests`], an in-flight unit at the tail is
     /// left exactly where the journal says it is, because the executor
     /// must re-derive the winning retry-ladder rung (by re-running the
     /// probes) before any serving code touches the unit; resuming with
     /// the base policy here would finish it under the wrong rung.
     ///
-    /// Idempotent: on a live (non-crashed) deployment the tail already
-    /// matches the live state and the mark replay re-applies set
-    /// semantics, so calling this is harmless. An empty journal is a
-    /// no-op.
+    /// Marks replay in journal order. Marking is idempotent (set
+    /// semantics), so records already reflected in the checkpoint apply
+    /// harmlessly a second time; FAILED and QUARANTINED requests never
+    /// touched the model, so they mark nothing. On a live (non-crashed)
+    /// deployment the tail already matches the live state, so calling
+    /// this is harmless. An empty journal is a no-op.
     pub fn restore_tail(&mut self, fed: &mut Federation, journal: &RequestJournal, rng: &mut Rng) {
         for record in journal.records() {
             match record.state {

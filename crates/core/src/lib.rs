@@ -68,8 +68,8 @@ pub use checkpoint::{Checkpoint, CheckpointError, MidPhase, CHECKPOINT_VERSION};
 pub use config::QuickDropConfig;
 pub use journal::{
     segment_path, BatchId, BatchOutcome, BatchPreempt, BatchRun, FailReason, JournalError,
-    JournalRecord, RequestJournal, RequestState, ResumeRun, ServeError, ServeRun, TailRepair,
-    JOURNAL_MAGIC, JOURNAL_MIN_VERSION, JOURNAL_VERSION,
+    JournalRecord, RequestJournal, RequestState, ResumeRun, ServeError, TailRepair, JOURNAL_MAGIC,
+    JOURNAL_MIN_VERSION, JOURNAL_VERSION,
 };
 pub use sample_level::{SampleLevelConfig, SampleLevelQuickDrop};
 pub use system::{CheckpointPolicy, QuickDrop, TrainReport, TrainRun};

@@ -2,11 +2,12 @@
 //! boundary (after RECEIVED, after UNLEARNED, after RECOVERED) resumes
 //! from the deployment checkpoint + journal and reproduces the
 //! uninterrupted run bit-for-bit — final model bits, RNG stream, and the
-//! persisted `GuardStats` counters.
+//! persisted `GuardStats` counters. A lone request is served as a batch
+//! of one; the unbatched tails older builds wrote still resume.
 
 use qd_core::{
     BatchPreempt, BatchRun, Checkpoint, JournalError, JournalRecord, QuickDrop, QuickDropConfig,
-    RequestJournal, RequestState, ServeRun,
+    RequestJournal, RequestState,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{Federation, Phase};
@@ -97,10 +98,10 @@ fn uninterrupted(paths: &Paths) -> (Vec<Tensor>, RequestJournal) {
     let mut journal = RequestJournal::open(&paths.journal).unwrap();
     for request in REQUESTS {
         let run = qd
-            .serve_journaled(
+            .serve_batch_journaled(
                 &mut fed,
                 &mut journal,
-                request,
+                &[request],
                 Some(&policy()),
                 &mut rng,
                 None,
@@ -124,42 +125,55 @@ fn uninterrupted(paths: &Paths) -> (Vec<Tensor>, RequestJournal) {
     (fed.global().to_vec(), journal)
 }
 
+/// Process A: train, checkpoint, serve the first request as a batch of
+/// one and die right after `boundary` is durable.
+fn serve_first_until(paths: &Paths, boundary: BatchPreempt) {
+    let (mut fed, mut rng) = fresh_fed();
+    let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
+    Checkpoint::capture(fed.global(), &qd)
+        .save(&paths.ckpt)
+        .unwrap();
+    let mut journal = RequestJournal::open(&paths.journal).unwrap();
+    let run = qd
+        .serve_batch_journaled(
+            &mut fed,
+            &mut journal,
+            &REQUESTS[..1],
+            Some(&policy()),
+            &mut rng,
+            Some(boundary),
+        )
+        .unwrap();
+    let BatchRun::Preempted { boundary: stopped } = run else {
+        panic!("serving must stop at {boundary:?}");
+    };
+    assert_eq!(stopped, boundary);
+}
+
 /// Kill at `boundary` while serving the first request, then resume in a
 /// "fresh process" and finish the stream identically.
-fn kill_and_resume(boundary: RequestState, reference: &(Vec<Tensor>, RequestJournal)) {
-    let paths = paths(&format!("kill_{boundary}"));
-
-    // Process A: train, checkpoint, die right after `boundary` is durable.
-    {
-        let (mut fed, mut rng) = fresh_fed();
-        let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
-        Checkpoint::capture(fed.global(), &qd)
-            .save(&paths.ckpt)
-            .unwrap();
-        let mut journal = RequestJournal::open(&paths.journal).unwrap();
-        let run = qd
-            .serve_journaled(
-                &mut fed,
-                &mut journal,
-                REQUESTS[0],
-                Some(&policy()),
-                &mut rng,
-                Some(boundary),
-            )
-            .unwrap();
-        let ServeRun::Preempted { state } = run else {
-            panic!("serving must stop at the {boundary} boundary");
-        };
-        assert_eq!(state, boundary);
-        assert_eq!(journal.last().unwrap().state, boundary);
-    }
+fn kill_and_resume(
+    boundary: BatchPreempt,
+    state: RequestState,
+    reference: &(Vec<Tensor>, RequestJournal),
+) {
+    let paths = paths(&format!("kill_{state}"));
+    serve_first_until(&paths, boundary);
+    assert_eq!(
+        RequestJournal::open(&paths.journal)
+            .unwrap()
+            .last()
+            .unwrap()
+            .state,
+        state
+    );
 
     // Process B: everything rebuilt from the seed; model, RNG and request
     // progress all come from the checkpoint + journal.
     let (mut fed, mut rng) = fresh_fed();
     let (mut qd, mut journal, finished) =
         QuickDrop::recover_deployment(&paths.ckpt, &mut fed, Some(&policy()), &mut rng).unwrap();
-    match boundary {
+    match state {
         RequestState::Recovered | RequestState::Relearned => {
             assert!(finished.is_none(), "nothing was in flight");
         }
@@ -177,10 +191,10 @@ fn kill_and_resume(boundary: RequestState, reference: &(Vec<Tensor>, RequestJour
     assert_eq!(journal.last().unwrap().state, RequestState::Recovered);
 
     // Finish the stream exactly as the uninterrupted run did.
-    qd.serve_journaled(
+    qd.serve_batch_journaled(
         &mut fed,
         &mut journal,
-        REQUESTS[1],
+        &REQUESTS[1..],
         Some(&policy()),
         &mut rng,
         None,
@@ -212,29 +226,29 @@ fn killed_request_stream_resumes_bit_for_bit_at_every_boundary() {
             .1
             .records()
             .iter()
-            .map(|r| (r.seq, r.state))
+            .map(|r| (r.seq, r.state, r.batch.map(|b| b.0)))
             .collect::<Vec<_>>(),
         vec![
-            (0, RequestState::Received),
-            (0, RequestState::Unlearned),
-            (0, RequestState::Recovered),
-            (1, RequestState::Received),
-            (1, RequestState::Unlearned),
-            (1, RequestState::Recovered),
-            (0, RequestState::Relearned),
+            (0, RequestState::Received, Some(0)),
+            (0, RequestState::Unlearned, Some(0)),
+            (0, RequestState::Recovered, Some(0)),
+            (1, RequestState::Received, Some(1)),
+            (1, RequestState::Unlearned, Some(1)),
+            (1, RequestState::Recovered, Some(1)),
+            (0, RequestState::Relearned, None),
         ],
-        "journal must trace the full state machine"
+        "journal must trace the full state machine, each request a unit of one"
     );
     // The journal survives a reopen byte-for-byte.
     let reopened = RequestJournal::open(ref_paths.journal.clone()).unwrap();
     assert_same_records(reference.1.records(), reopened.records());
 
-    for boundary in [
-        RequestState::Received,
-        RequestState::Unlearned,
-        RequestState::Recovered,
+    for (boundary, state) in [
+        (BatchPreempt::Received, RequestState::Received),
+        (BatchPreempt::Unlearned(1), RequestState::Unlearned),
+        (BatchPreempt::Recovered, RequestState::Recovered),
     ] {
-        kill_and_resume(boundary, &reference);
+        kill_and_resume(boundary, state, &reference);
     }
 
     std::fs::remove_file(&ref_paths.ckpt).ok();
@@ -467,4 +481,108 @@ fn relearn_of_an_unserved_request_is_rejected() {
         .relearn_journaled(&mut fed, &mut journal, REQUESTS[0], &phase, &mut rng)
         .expect_err("nothing recovered yet");
     assert!(err.to_string().contains("no recovered request"), "{err}");
+}
+
+#[test]
+fn relearning_twice_is_rejected_and_changes_nothing() {
+    let paths = paths("double_relearn");
+    let (mut fed, mut rng) = fresh_fed();
+    let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
+    let mut journal = RequestJournal::open(&paths.journal).unwrap();
+    qd.serve_batch_journaled(
+        &mut fed,
+        &mut journal,
+        &REQUESTS[..1],
+        Some(&policy()),
+        &mut rng,
+        None,
+    )
+    .unwrap();
+    let phase = qd.config().relearn_phase;
+    qd.relearn_journaled(&mut fed, &mut journal, REQUESTS[0], &phase, &mut rng)
+        .unwrap();
+    let model = fed.global().to_vec();
+    let records = journal.records().len();
+
+    let err = qd
+        .relearn_journaled(&mut fed, &mut journal, REQUESTS[0], &phase, &mut rng)
+        .expect_err("the request is already relearned");
+    let io: std::io::Error = match err {
+        qd_core::ServeError::Io(io) => io,
+        other => panic!("expected an I/O-class rejection, got {other}"),
+    };
+    assert_eq!(io.kind(), std::io::ErrorKind::InvalidData, "{io}");
+    assert_bit_identical(&model, fed.global());
+    assert_eq!(journal.records().len(), records, "nothing was appended");
+    std::fs::remove_file(&paths.journal).ok();
+}
+
+/// The upgrade path for journals whose in-flight tail predates batch
+/// ids: the same kill, with every record rewritten unbatched, resumes to
+/// the bit-identical model and RNG stream, and the records the resume
+/// writes stay unbatched.
+#[test]
+fn unbatched_tail_resumes_as_a_unit_of_one() {
+    for (boundary, name) in [
+        (BatchPreempt::Received, "received"),
+        (BatchPreempt::Unlearned(1), "unlearned"),
+    ] {
+        let batched = paths(&format!("tail_batched_{name}"));
+        serve_first_until(&batched, boundary);
+
+        let legacy = paths(&format!("tail_legacy_{name}"));
+        std::fs::copy(&batched.ckpt, &legacy.ckpt).unwrap();
+        let killed = RequestJournal::open(&batched.journal).unwrap();
+        let mut unbatched = RequestJournal::open(&legacy.journal).unwrap();
+        for record in killed.records() {
+            unbatched
+                .append(JournalRecord {
+                    batch: None,
+                    ..record.clone()
+                })
+                .unwrap();
+        }
+        let copied = killed.records().len();
+
+        let resume = |paths: &Paths| {
+            let (mut fed, mut rng) = fresh_fed();
+            let (_qd, journal, finished) =
+                QuickDrop::recover_deployment(&paths.ckpt, &mut fed, Some(&policy()), &mut rng)
+                    .unwrap();
+            assert!(finished.is_some(), "{name}: the tail was in flight");
+            (fed.global().to_vec(), rng.state(), journal)
+        };
+        let (model, rng, journal) = resume(&batched);
+        let (legacy_model, legacy_rng, legacy_journal) = resume(&legacy);
+
+        assert_bit_identical(&model, &legacy_model);
+        assert_eq!(rng, legacy_rng, "{name}: RNG stream diverged");
+        assert_eq!(journal.records().len(), legacy_journal.records().len());
+        for (a, b) in journal.records().iter().zip(legacy_journal.records()) {
+            assert_eq!((a.seq, a.request, a.state), (b.seq, b.request, b.state));
+            assert_eq!(
+                a.rng, b.rng,
+                "{name}: RNG diverged at {} {}",
+                a.seq, a.state
+            );
+            assert_eq!(a.guard, b.guard, "{name}: guard stats diverged");
+            assert_bit_identical(&a.global, &b.global);
+        }
+        assert!(
+            journal.records()[copied..]
+                .iter()
+                .all(|r| r.batch.is_some()),
+            "{name}: a batch-of-one tail is finished batched"
+        );
+        assert!(
+            legacy_journal.records()[copied..]
+                .iter()
+                .all(|r| r.batch.is_none()),
+            "{name}: records written while finishing an unbatched tail stay unbatched"
+        );
+        for p in [&batched, &legacy] {
+            std::fs::remove_file(&p.ckpt).ok();
+            std::fs::remove_file(&p.journal).ok();
+        }
+    }
 }

@@ -52,7 +52,7 @@
 //! crash matrix in `tests/poison.rs` pass bit-for-bit.
 
 use crate::plan::{build_plan, Plan, PlannedBatch};
-use crate::service::{run_plain, ChaosKill, ServiceError, ServiceRun};
+use crate::service::{run_service, ChaosKill, ServiceError, ServiceRun};
 use crate::stats::ServeStats;
 use crate::ServeConfig;
 use qd_core::{
@@ -845,7 +845,7 @@ pub fn run_service_isolated(
 ) -> Result<ServiceRun, ServiceError> {
     iso.validate().map_err(ServiceError::Plan)?;
     if !iso.active() {
-        return run_plain(qd, fed, journal, cfg, policy, rng, kill);
+        return run_service(qd, fed, journal, cfg, policy, rng, kill);
     }
     let Some(policy) = policy else {
         return Err(ServiceError::Plan(

@@ -1,9 +1,8 @@
 //! Plan execution over the request journal.
 //!
 //! [`run_service`] drives the planned service units through
-//! `QuickDrop`'s journaled serving calls, in plan order: singleton
-//! units through `serve_journaled`, coalesced units through
-//! `serve_batch_journaled`. Progress lives entirely in the journal, so
+//! `QuickDrop::serve_batch_journaled`, in plan order; a singleton unit
+//! is simply a batch of one. Progress lives entirely in the journal, so
 //! crash recovery is: reload checkpoint + journal (which finishes any
 //! partially-applied unit via `QuickDrop::resume_requests`), then call
 //! [`run_service`] again with the same config — it rebuilds the same
@@ -22,9 +21,7 @@ use crate::config::ServeConfig;
 use crate::executor::map_journal;
 use crate::plan::build_plan;
 use crate::stats::ServeStats;
-use qd_core::{
-    BatchPreempt, BatchRun, QuickDrop, RequestJournal, RequestState, ServeError, ServeRun,
-};
+use qd_core::{BatchPreempt, BatchRun, QuickDrop, RequestJournal, ServeError};
 use qd_fed::Federation;
 use qd_tensor::rng::Rng;
 use qd_unlearn::{ForgetSet, GuardPolicy};
@@ -71,8 +68,8 @@ impl From<ServeError> for ServiceError {
 pub struct ChaosKill {
     /// Index into the plan's unit list.
     pub unit_index: usize,
-    /// The journal boundary to die at. For singleton units,
-    /// `Unlearned(_)` means the UNLEARNED record. The
+    /// The journal boundary to die at. `Unlearned(k)` past the unit's
+    /// size fires after its last member (see [`BatchPreempt`]). The
     /// isolation-only boundaries (`Quarantined`, `Failed`) only fire
     /// under an active [`crate::IsolationConfig`]; the plain path
     /// never reaches them.
@@ -133,9 +130,11 @@ pub struct ServiceRun {
 /// deployment (`QuickDrop::recover_deployment`, which finishes any
 /// partially-applied unit), then call this with the same config.
 ///
-/// This is the *plain* (isolation-off) path — equivalent to
-/// [`crate::run_service_isolated`] with the default all-off
-/// [`crate::IsolationConfig`], which is exactly how it is implemented.
+/// This is the *plain* (isolation-off) path: every unit, singleton or
+/// coalesced, goes through `QuickDrop::serve_batch_journaled`. It is
+/// also what [`crate::run_service_isolated`] runs when its
+/// [`crate::IsolationConfig`] is all off, so the two agree bit-for-bit
+/// in that case.
 ///
 /// # Errors
 ///
@@ -155,25 +154,6 @@ pub fn run_service(
     rng: &mut Rng,
     kill: Option<ChaosKill>,
 ) -> Result<ServiceRun, ServiceError> {
-    run_plain(qd, fed, journal, cfg, policy, rng, kill)
-}
-
-/// The isolation-off unit loop shared by [`run_service`] and the
-/// executor's inactive fast path: byte-for-byte the behaviour the
-/// service had before failure isolation existed, except that progress
-/// counting now goes through [`map_journal`] (typed
-/// [`ServiceError::ForeignJournal`] instead of silent miscounts) and
-/// preempted stats are marked partial.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_plain(
-    qd: &mut QuickDrop,
-    fed: &mut Federation,
-    journal: &mut RequestJournal,
-    cfg: &ServeConfig,
-    policy: Option<&GuardPolicy>,
-    rng: &mut Rng,
-    kill: Option<ChaosKill>,
-) -> Result<ServiceRun, ServiceError> {
     let plan = build_plan(cfg).map_err(ServiceError::Plan)?;
     let frontier = map_journal(&plan, journal)?;
     let resumed_units = frontier.done as u64;
@@ -181,25 +161,9 @@ pub(crate) fn run_plain(
     let mut executed_units = 0u64;
     let mut preempted = false;
     for (index, unit) in plan.batches.iter().enumerate().skip(frontier.done) {
-        let unit_kill = kill.filter(|k| k.unit_index == index);
-        let hit = if let [single] = unit.members.as_slice() {
-            let preempt_at = unit_kill.and_then(|k| match k.boundary {
-                BatchPreempt::Received => Some(RequestState::Received),
-                BatchPreempt::Unlearned(_) => Some(RequestState::Unlearned),
-                BatchPreempt::Recovered => Some(RequestState::Recovered),
-                // Isolation-only boundaries: the plain path never
-                // writes these records, so the kill cannot fire.
-                BatchPreempt::Quarantined | BatchPreempt::Failed => None,
-            });
-            let run = qd.serve_journaled(fed, journal, *single, policy, rng, preempt_at)?;
-            matches!(run, ServeRun::Preempted { .. })
-        } else {
-            let preempt_at = unit_kill.map(|k| k.boundary);
-            let run =
-                qd.serve_batch_journaled(fed, journal, &unit.members, policy, rng, preempt_at)?;
-            matches!(run, BatchRun::Preempted { .. })
-        };
-        if hit {
+        let preempt_at = kill.filter(|k| k.unit_index == index).map(|k| k.boundary);
+        let run = qd.serve_batch_journaled(fed, journal, &unit.members, policy, rng, preempt_at)?;
+        if matches!(run, BatchRun::Preempted { .. }) {
             preempted = true;
             break;
         }

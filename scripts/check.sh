@@ -60,7 +60,16 @@ echo "== chaos determinism + shrink + fixture replay (release, qd-chaos)"
 cargo test --offline --release -p qd-chaos -q
 
 echo "== whole-system chaos gate (release, pinned seed, 25 schedules, all invariants)"
-cargo run --offline --release -q -p qd-cli -- chaos --seed 7 --runs 25
+# Faults this seed fired when the gate was pinned: a refactor that moves
+# kill points must not silently disarm them.
+CHAOS_MIN_FAULTS_FIRED=5
+chaos_out=$(cargo run --offline --release -q -p qd-cli -- chaos --seed 7 --runs 25)
+echo "$chaos_out"
+fired=$(printf '%s\n' "$chaos_out" | sed -n 's/.* \([0-9][0-9]*\) fault(s) fired.*/\1/p' | tail -n 1)
+if [ -z "$fired" ] || [ "$fired" -lt "$CHAOS_MIN_FAULTS_FIRED" ]; then
+    echo "chaos gate fired ${fired:-no} fault(s); at least $CHAOS_MIN_FAULTS_FIRED must fire" >&2
+    exit 1
+fi
 
 echo "== chaos bench (smoke mode; refreshes BENCH_chaos.json)"
 cargo bench --offline -p qd-bench --bench chaos -- --test
