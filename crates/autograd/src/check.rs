@@ -27,7 +27,37 @@ pub fn numeric_grad(
     grad
 }
 
-/// Asserts that the tape gradients of `build` match central differences.
+/// Asserts that [`Tape::gradients`] returns bit-for-bit the values of
+/// [`Tape::grad`] for `y` with respect to `xs`, and records no nodes.
+///
+/// # Panics
+///
+/// Panics (with a diagnostic) on any differing shape or bit pattern.
+pub fn assert_sweeps_agree(tape: &mut Tape, y: Var, xs: &[Var]) {
+    let before = tape.len();
+    let values = tape.gradients(y, xs);
+    assert_eq!(tape.len(), before, "gradients recorded nodes");
+    let recorded = tape.grad(y, xs);
+    assert_eq!(values.len(), recorded.len());
+    for (i, (v, g)) in values.iter().zip(&recorded).enumerate() {
+        let g = tape.value(*g);
+        assert_eq!(v.dims(), g.dims(), "gradient {i}: shape differs");
+        let same = v
+            .data()
+            .iter()
+            .zip(g.data())
+            .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(
+            same,
+            "gradient {i}: values-only sweep differs from grad\n\
+             gradients: {v:?}\n grad: {g:?}"
+        );
+    }
+}
+
+/// Asserts that the tape gradients of `build` match central differences,
+/// and that [`Tape::gradients`] agrees with [`Tape::grad`] bit-for-bit
+/// (see [`assert_sweeps_agree`]).
 ///
 /// `build` receives a fresh tape and one leaf per input tensor and must
 /// return a scalar variable. Differentiable behaviour is compared at
@@ -42,6 +72,7 @@ pub fn assert_grads_close(build: impl Fn(&mut Tape, &[Var]) -> Var, inputs: &[Te
     let mut tape = Tape::new();
     let vars: Vec<Var> = inputs.iter().map(|t| tape.leaf(t.clone())).collect();
     let y = build(&mut tape, &vars);
+    assert_sweeps_agree(&mut tape, y, &vars);
     let grads = tape.grad(y, &vars);
     for (which, g) in grads.iter().enumerate() {
         let numeric = numeric_grad(

@@ -1,6 +1,8 @@
-//! Private layout kernels used by the tape ops: NCHW permutes and
-//! spatial/channel reductions with their adjoint broadcasts.
+//! Private kernels shared by the tape ops and the values-only sweep:
+//! NCHW permutes, spatial/channel reductions with their adjoint
+//! broadcasts, row/column broadcasts, max pooling and the ReLU mask.
 
+use crate::tape::PoolGeo;
 use qd_tensor::Tensor;
 
 /// Permutes a patch-row matrix `(N*OH*OW, C)` into an `(N, C, OH, OW)`
@@ -8,7 +10,8 @@ use qd_tensor::Tensor;
 pub(crate) fn rows_to_nchw(rows: &Tensor, n: usize, c: usize, oh: usize, ow: usize) -> Tensor {
     assert_eq!(rows.dims(), &[n * oh * ow, c], "rows_to_nchw shape");
     let data = rows.data();
-    let mut out = vec![0.0f32; n * c * oh * ow];
+    let mut t = Tensor::zeros(&[n, c, oh, ow]);
+    let out = t.data_mut();
     let hw = oh * ow;
     for b in 0..n {
         for p in 0..hw {
@@ -18,7 +21,7 @@ pub(crate) fn rows_to_nchw(rows: &Tensor, n: usize, c: usize, oh: usize, ow: usi
             }
         }
     }
-    Tensor::from_vec(out, &[n, c, oh, ow])
+    t
 }
 
 /// Permutes an `(N, C, OH, OW)` feature map into patch rows
@@ -27,7 +30,8 @@ pub(crate) fn nchw_to_rows(x: &Tensor, n: usize, c: usize, oh: usize, ow: usize)
     assert_eq!(x.len(), n * c * oh * ow, "nchw_to_rows length");
     let data = x.data();
     let hw = oh * ow;
-    let mut out = vec![0.0f32; n * hw * c];
+    let mut t = Tensor::zeros(&[n * hw, c]);
+    let out = t.data_mut();
     for b in 0..n {
         for ch in 0..c {
             let src = &data[(b * c + ch) * hw..(b * c + ch + 1) * hw];
@@ -36,7 +40,7 @@ pub(crate) fn nchw_to_rows(x: &Tensor, n: usize, c: usize, oh: usize, ow: usize)
             }
         }
     }
-    Tensor::from_vec(out, &[n * hw, c])
+    t
 }
 
 /// Sums each `(n, c)` plane over its spatial extent:
@@ -60,11 +64,12 @@ pub(crate) fn spatial_broadcast(v: &Tensor, c: usize, h: usize, w: usize) -> Ten
     assert_eq!(planes % c, 0, "spatial_broadcast channel mismatch");
     let n = planes / c;
     let hw = h * w;
-    let mut out = vec![0.0f32; planes * hw];
+    let mut t = Tensor::zeros(&[n, c, h, w]);
+    let out = t.data_mut();
     for (p, &val) in v.data().iter().enumerate() {
         out[p * hw..(p + 1) * hw].fill(val);
     }
-    Tensor::from_vec(out, &[n, c, h, w])
+    t
 }
 
 /// Sums an `(N, C, H, W)` tensor over batch and spatial axes: `-> (C,)`.
@@ -89,13 +94,115 @@ pub(crate) fn channel_sum(x: &Tensor, c: usize, h: usize, w: usize) -> Tensor {
 pub(crate) fn channel_broadcast(v: &Tensor, n: usize, h: usize, w: usize) -> Tensor {
     let c = v.len();
     let hw = h * w;
-    let mut out = vec![0.0f32; n * c * hw];
+    let mut t = Tensor::zeros(&[n, c, h, w]);
+    let out = t.data_mut();
     for b in 0..n {
         for (ch, &val) in v.data().iter().enumerate() {
             out[(b * c + ch) * hw..(b * c + ch + 1) * hw].fill(val);
         }
     }
-    Tensor::from_vec(out, &[n, c, h, w])
+    t
+}
+
+/// Repeats a vector `(n,)` as `m` rows: `-> (m, n)`.
+pub(crate) fn broadcast_rows(v: &Tensor, m: usize) -> Tensor {
+    assert_eq!(v.shape().rank(), 1, "broadcast_rows expects a vector");
+    let n = v.len();
+    let mut t = Tensor::zeros(&[m, n]);
+    if n > 0 {
+        for row in t.data_mut().chunks_exact_mut(n) {
+            row.copy_from_slice(v.data());
+        }
+    }
+    t
+}
+
+/// Repeats a vector `(m,)` as `n` columns: `-> (m, n)`.
+pub(crate) fn broadcast_cols(v: &Tensor, n: usize) -> Tensor {
+    assert_eq!(v.shape().rank(), 1, "broadcast_cols expects a vector");
+    let m = v.len();
+    let mut t = Tensor::zeros(&[m, n]);
+    if n > 0 {
+        for (row, &x) in t.data_mut().chunks_exact_mut(n).zip(v.data()) {
+            row.fill(x);
+        }
+    }
+    t
+}
+
+/// The 0/1 activation mask `1[x > 0]` of a ReLU input.
+pub(crate) fn relu_mask(x: &Tensor) -> Tensor {
+    x.map(|x| if x > 0.0 { 1.0 } else { 0.0 })
+}
+
+/// Non-overlapping `k`×`k` max pooling of `(N, C, H, W)` images.
+///
+/// # Panics
+///
+/// Panics if `x` is not a whole number of `C`×`H`×`W` images.
+pub(crate) fn max_pool(x: &Tensor, geo: PoolGeo) -> Tensor {
+    let PoolGeo { c, h, w, k } = geo;
+    let per_image = c * h * w;
+    assert!(
+        per_image > 0 && x.len().is_multiple_of(per_image),
+        "input is not a whole number of {c}x{h}x{w} images"
+    );
+    let n = x.len() / per_image;
+    let (oh, ow) = (h / k, w / k);
+    let mut t = Tensor::full(&[n, c, oh, ow], f32::NEG_INFINITY);
+    let out = t.data_mut();
+    for b in 0..n {
+        for ch in 0..c {
+            let src = &x.data()[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
+            let base = (b * c + ch) * oh * ow;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = f32::NEG_INFINITY;
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            best = best.max(src[(oy * k + ky) * w + ox * k + kx]);
+                        }
+                    }
+                    out[base + oy * ow + ox] = best;
+                }
+            }
+        }
+    }
+    t
+}
+
+/// Scatters a pooled adjoint `u` back to the argmax positions of the
+/// pooling input `x` (ties send it to the first maximum): the adjoint of
+/// [`max_pool`] at `x`.
+pub(crate) fn max_unpool(x: &Tensor, u: &Tensor, geo: PoolGeo) -> Tensor {
+    let PoolGeo { c, h, w, k } = geo;
+    let per_image = c * h * w;
+    let n = x.len() / per_image;
+    let (oh, ow) = (h / k, w / k);
+    let mut t = Tensor::zeros(x.dims());
+    let out = t.data_mut();
+    for b in 0..n {
+        for ch in 0..c {
+            let src = &x.data()[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
+            let dst = &mut out[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
+            let ubase = (b * c + ch) * oh * ow;
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let mut best = (f32::NEG_INFINITY, 0usize);
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            let idx = (oy * k + ky) * w + ox * k + kx;
+                            if src[idx] > best.0 {
+                                best = (src[idx], idx);
+                            }
+                        }
+                    }
+                    dst[best.1] += u.data()[ubase + oy * ow + ox];
+                }
+            }
+        }
+    }
+    t
 }
 
 #[cfg(test)]

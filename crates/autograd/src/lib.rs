@@ -12,6 +12,25 @@
 //! adjoint values, it *emits them as new differentiable nodes* on the same
 //! tape, so `grad` can be applied to its own output.
 //!
+//! # `grad` or `gradients`
+//!
+//! Both evaluate the same vector–Jacobian rules and produce bit-identical
+//! values; they differ in what they leave behind.
+//!
+//! * [`Tape::grad`] records the backward pass as differentiable nodes. Use
+//!   it only when the gradient is itself differentiated, like the inner
+//!   `∇θ L(S)` of gradient matching. It roughly doubles the tape.
+//! * [`Tape::gradients`] returns plain tensors and records nothing; each
+//!   adjoint is freed once propagated. Use it for everything first-order:
+//!   SGD and ascent steps, detached reference gradients, and the outer
+//!   `∂d/∂S` of a matching step.
+//!
+//! Training loops also open a [`qd_tensor::Recycle`] scope, so the
+//! buffers one step frees are reused by the next instead of going back
+//! to the system allocator. The scope is bound to the loop: its free list
+//! is released when the loop ends, because a list that outlived its loop
+//! would keep memory the rest of the program never asks for again.
+//!
 //! # Design
 //!
 //! * Eager evaluation: every op computes its value immediately and records

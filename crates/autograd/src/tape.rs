@@ -1,6 +1,7 @@
 //! The tape: eager op recording plus gradient construction.
 
 use crate::kernels;
+use crate::ops::{self, Sweep};
 use qd_tensor::{avg_pool2d, avg_unpool2d, col2im, im2col, Conv2dGeometry, Tensor};
 
 /// Handle to a node on a [`Tape`].
@@ -69,6 +70,47 @@ pub(crate) enum Op {
     LogSoftmax(Var),
 }
 
+impl Op {
+    /// The variables this op reads.
+    pub(crate) fn inputs(&self) -> [Option<Var>; 2] {
+        match *self {
+            Op::Leaf | Op::Constant | Op::ReluMask | Op::MaxUnpoolMask => [None, None],
+            Op::Add(a, b) | Op::Sub(a, b) | Op::Mul(a, b) | Op::Div(a, b) | Op::MatMul(a, b) => {
+                [Some(a), Some(b)]
+            }
+            Op::Neg(a)
+            | Op::Scale(a, _)
+            | Op::AddScalar(a)
+            | Op::Transpose2(a)
+            | Op::Relu(a)
+            | Op::Tanh(a)
+            | Op::Sigmoid(a)
+            | Op::MaxPool(a, _)
+            | Op::Sqrt(a)
+            | Op::Exp(a)
+            | Op::Ln(a)
+            | Op::SumAll(a)
+            | Op::BroadcastTo(a)
+            | Op::SumRows(a)
+            | Op::BroadcastRows(a)
+            | Op::SumCols(a)
+            | Op::BroadcastCols(a)
+            | Op::Reshape(a)
+            | Op::Im2col(a, _)
+            | Op::Col2im(a, _)
+            | Op::AvgPool(a, _)
+            | Op::AvgUnpool(a, _)
+            | Op::RowsToNchw(a, _)
+            | Op::NchwToRows(a, _)
+            | Op::SpatialSum(a, _)
+            | Op::SpatialBroadcast(a, _)
+            | Op::ChannelSum(a, _)
+            | Op::ChannelBroadcast(a, _)
+            | Op::LogSoftmax(a) => [Some(a), None],
+        }
+    }
+}
+
 pub(crate) struct Node {
     pub value: Tensor,
     pub op: Op,
@@ -79,8 +121,9 @@ pub(crate) struct Node {
 ///
 /// Construct values with [`Tape::leaf`] (differentiable) or
 /// [`Tape::constant`] (treated as fixed), combine them with the op methods,
-/// and differentiate with [`Tape::grad`]. Because `grad` emits ordinary
-/// nodes, it can be nested for higher-order derivatives.
+/// and differentiate with [`Tape::grad`] or [`Tape::gradients`]. Because
+/// `grad` emits ordinary nodes, it can be nested for higher-order
+/// derivatives; `gradients` returns plain tensors and records nothing.
 ///
 /// A tape only grows; for iterative training, create a fresh tape per step
 /// and re-insert parameters as leaves.
@@ -133,6 +176,10 @@ impl Tape {
     /// Panics if `v` does not belong to this tape.
     pub fn value(&self, v: Var) -> &Tensor {
         &self.nodes[v.0].value
+    }
+
+    pub(crate) fn node(&self, id: usize) -> &Node {
+        &self.nodes[id]
     }
 
     /// Inserts a differentiable leaf (e.g. a model parameter or a synthetic
@@ -229,7 +276,7 @@ impl Tape {
     /// gradients do not flow through the mask (the second derivative of
     /// ReLU is zero almost everywhere).
     pub fn relu_mask(&mut self, a: Var) -> Var {
-        let v = self.value(a).map(|x| if x > 0.0 { 1.0 } else { 0.0 });
+        let v = kernels::relu_mask(self.value(a));
         // Deliberately needs_grad = false.
         self.push(v, Op::ReluMask, false)
     }
@@ -260,34 +307,9 @@ impl Tape {
             k > 0 && h.is_multiple_of(k) && w.is_multiple_of(k),
             "pooling {h}x{w} by {k}"
         );
-        let x = self.value(a);
-        let per_image = c * h * w;
-        assert!(
-            per_image > 0 && x.len().is_multiple_of(per_image),
-            "input is not a whole number of {c}x{h}x{w} images"
-        );
-        let n = x.len() / per_image;
-        let (oh, ow) = (h / k, w / k);
-        let mut out = vec![f32::NEG_INFINITY; n * c * oh * ow];
-        for b in 0..n {
-            for ch in 0..c {
-                let src = &x.data()[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
-                let base = (b * c + ch) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = f32::NEG_INFINITY;
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                best = best.max(src[(oy * k + ky) * w + ox * k + kx]);
-                            }
-                        }
-                        out[base + oy * ow + ox] = best;
-                    }
-                }
-            }
-        }
-        let v = Tensor::from_vec(out, &[n, c, oh, ow]);
-        self.push_unary(a, v, Op::MaxPool(a, PoolGeo { c, h, w, k }))
+        let geo = PoolGeo { c, h, w, k };
+        let v = kernels::max_pool(self.value(a), geo);
+        self.push_unary(a, v, Op::MaxPool(a, geo))
     }
 
     /// Scatters a pooled adjoint back to the argmax positions of the
@@ -295,36 +317,7 @@ impl Tape {
     /// resulting node is treated as locally constant with respect to its
     /// inputs, mirroring [`Tape::relu_mask`].
     pub(crate) fn max_unpool_scatter(&mut self, input: Var, upstream: Var, geo: PoolGeo) -> Var {
-        let PoolGeo { c, h, w, k } = geo;
-        let x = self.value(input).clone();
-        let u = self.value(upstream);
-        let per_image = c * h * w;
-        let n = x.len() / per_image;
-        let (oh, ow) = (h / k, w / k);
-        let mut out = vec![0.0f32; x.len()];
-        for b in 0..n {
-            for ch in 0..c {
-                let src = &x.data()[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
-                let dst = &mut out[(b * c + ch) * h * w..(b * c + ch + 1) * h * w];
-                let ubase = (b * c + ch) * oh * ow;
-                for oy in 0..oh {
-                    for ox in 0..ow {
-                        let mut best = (f32::NEG_INFINITY, 0usize);
-                        for ky in 0..k {
-                            for kx in 0..k {
-                                let idx = (oy * k + ky) * w + ox * k + kx;
-                                if src[idx] > best.0 {
-                                    best = (src[idx], idx);
-                                }
-                            }
-                        }
-                        dst[best.1] += u.data()[ubase + oy * ow + ox];
-                    }
-                }
-            }
-        }
-        let dims = self.value(input).dims().to_vec();
-        let v = Tensor::from_vec(out, &dims);
+        let v = kernels::max_unpool(self.value(input), self.value(upstream), geo);
         // Like ReluMask: a function of (input, upstream) whose derivative
         // w.r.t. the *selection* is zero a.e.; upstream linearity is
         // handled by first-order use only.
@@ -378,14 +371,7 @@ impl Tape {
 
     /// Repeats a vector `(n,)` as `m` rows: `-> (m, n)`.
     pub fn broadcast_rows(&mut self, a: Var, m: usize) -> Var {
-        let val = self.value(a);
-        assert_eq!(val.shape().rank(), 1, "broadcast_rows expects a vector");
-        let n = val.len();
-        let mut data = Vec::with_capacity(m * n);
-        for _ in 0..m {
-            data.extend_from_slice(val.data());
-        }
-        let v = Tensor::from_vec(data, &[m, n]);
+        let v = kernels::broadcast_rows(self.value(a), m);
         self.push_unary(a, v, Op::BroadcastRows(a))
     }
 
@@ -397,14 +383,7 @@ impl Tape {
 
     /// Repeats a vector `(m,)` as `n` columns: `-> (m, n)`.
     pub fn broadcast_cols(&mut self, a: Var, n: usize) -> Var {
-        let val = self.value(a);
-        assert_eq!(val.shape().rank(), 1, "broadcast_cols expects a vector");
-        let m = val.len();
-        let mut data = Vec::with_capacity(m * n);
-        for &x in val.data() {
-            data.extend(std::iter::repeat_n(x, n));
-        }
-        let v = Tensor::from_vec(data, &[m, n]);
+        let v = kernels::broadcast_cols(self.value(a), n);
         self.push_unary(a, v, Op::BroadcastCols(a))
     }
 
@@ -492,48 +471,50 @@ impl Tape {
     ///
     /// Variables in `xs` that `y` does not depend on receive zero tensors.
     /// Applying `grad` to one of the returned variables yields exact
-    /// second-order derivatives.
+    /// second-order derivatives. When only the gradient *values* are
+    /// needed, [`Tape::gradients`] computes the same values without
+    /// growing the tape.
     ///
     /// # Panics
     ///
     /// Panics if `y` is not a single-element variable.
     pub fn grad(&mut self, y: Var, xs: &[Var]) -> Vec<Var> {
-        assert_eq!(
-            self.value(y).len(),
-            1,
-            "grad target must be scalar, got shape {}",
-            self.value(y).shape()
-        );
-        let horizon = y.0 + 1;
-        let mut adjoint: Vec<Option<Var>> = vec![None; horizon];
-        let seed = self.constant(Tensor::ones(self.value(y).dims()));
-        adjoint[y.0] = Some(seed);
-        for id in (0..horizon).rev() {
-            let Some(upstream) = adjoint[id] else {
-                continue;
-            };
-            if !self.nodes[id].needs_grad {
-                continue;
-            }
-            let op = self.nodes[id].op.clone();
-            for (input, contribution) in self.vjp(Var(id), &op, upstream) {
-                if input.0 >= horizon || !self.nodes[input.0].needs_grad {
-                    continue;
-                }
-                adjoint[input.0] = Some(match adjoint[input.0] {
-                    Some(acc) => self.add(acc, contribution),
-                    None => contribution,
-                });
-            }
-        }
-        xs.iter()
-            .map(|x| {
-                adjoint
-                    .get(x.0)
-                    .copied()
-                    .flatten()
-                    .unwrap_or_else(|| self.constant(Tensor::zeros(self.value(*x).dims())))
-            })
+        ops::backward(self, y, xs)
+    }
+
+    /// The gradients of scalar `y` with respect to each variable in `xs`,
+    /// **as plain tensors**; the tape is left unchanged.
+    ///
+    /// Evaluates the same vector–Jacobian rules as [`Tape::grad`] and
+    /// returns bit-for-bit the values `grad` would record, but records no
+    /// nodes, frees each adjoint once it has been propagated, and
+    /// accumulates in place. Use it for first-order work (SGD, gradient
+    /// ascent, detached reference gradients); use `grad` only when the
+    /// gradient itself must be differentiated.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use qd_autograd::Tape;
+    /// use qd_tensor::Tensor;
+    ///
+    /// let mut tape = Tape::new();
+    /// let x = tape.leaf(Tensor::from_vec(vec![1.0, -2.0], &[2]));
+    /// let sq = tape.mul(x, x);
+    /// let y = tape.sum_all(sq);
+    /// let before = tape.len();
+    /// let g = tape.gradients(y, &[x]);
+    /// assert_eq!(g[0].data(), &[2.0, -4.0]);
+    /// assert_eq!(tape.len(), before);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `y` is not a single-element variable.
+    pub fn gradients(&self, y: Var, xs: &[Var]) -> Vec<Tensor> {
+        ops::backward(&mut Sweep { tape: self }, y, xs)
+            .into_iter()
+            .map(std::borrow::Cow::into_owned)
             .collect()
     }
 }

@@ -2,7 +2,7 @@
 //! second-order checks that mirror the gradient-matching pattern used by
 //! QuickDrop's distillation.
 
-use qd_autograd::check::{assert_grads_close, numeric_grad};
+use qd_autograd::check::{assert_grads_close, assert_sweeps_agree, numeric_grad};
 use qd_autograd::{Tape, Var};
 use qd_tensor::rng::Rng;
 use qd_tensor::{Conv2dGeometry, Tensor};
@@ -264,6 +264,23 @@ fn conv_composite_gradcheck() {
 }
 
 #[test]
+fn nchw_to_rows_gradcheck() {
+    let mut rng = Rng::seed_from(14);
+    let x = smooth_randn(&[2, 3, 2, 2], &mut rng);
+    let w = smooth_randn(&[2 * 2 * 2, 3], &mut rng);
+    assert_grads_close(
+        |t, vs| {
+            let rows = t.nchw_to_rows(vs[0], 2, 3, 2, 2); // (8, 3)
+            let m = t.mul(rows, vs[1]);
+            let sq = t.mul(m, rows);
+            t.sum_all(sq)
+        },
+        &[x, w],
+        2e-2,
+    );
+}
+
+#[test]
 fn col2im_gradcheck() {
     let mut rng = Rng::seed_from(8);
     let geo = Conv2dGeometry::new(1, 3, 3, 2, 1, 0);
@@ -498,4 +515,108 @@ fn gradients_accumulate_over_shared_subexpressions() {
     let y = tape.add(a, b);
     let g = tape.grad(y, &[x])[0];
     assert_eq!(tape.value(g).item(), 12.0);
+}
+
+#[test]
+fn gradients_match_grad_for_intermediates_duplicates_and_unused_xs() {
+    // `xs` mixes a leaf, intermediates that also feed later ops (so their
+    // adjoints must survive propagation), a repeated entry, an unused
+    // leaf and the target itself.
+    let mut rng = Rng::seed_from(40);
+    let mut tape = Tape::new();
+    let x = tape.leaf(smooth_randn(&[3, 4], &mut rng));
+    let w = tape.leaf(smooth_randn(&[4, 4], &mut rng));
+    let unused = tape.leaf(Tensor::zeros(&[2]));
+    let h = tape.matmul(x, w);
+    let act = tape.sigmoid(h);
+    let ls = tape.log_softmax(act);
+    let q = tape.div(ls, act);
+    let m = tape.mul(q, h);
+    let y = tape.sum_all(m);
+    assert_sweeps_agree(&mut tape, y, &[x, h, w, act, x, unused, y]);
+}
+
+#[test]
+fn gradients_match_grad_through_max_pool_ties_and_masks() {
+    // Tied maxima, a ReLU feeding max pooling, and a constant operand.
+    let mut tape = Tape::new();
+    let x = tape.leaf(Tensor::from_vec(
+        vec![1.0, 1.0, -3.0, 2.0, 0.0, 0.0, 0.0, 0.0],
+        &[1, 2, 2, 2],
+    ));
+    let c = tape.constant(Tensor::full(&[1, 2, 2, 2], 0.5));
+    let r = tape.relu(x);
+    let s = tape.sub(r, c);
+    let p = tape.max_pool2d(s, 2, 2, 2, 2);
+    let sq = tape.mul(p, p);
+    let y = tape.sum_all(sq);
+    assert_sweeps_agree(&mut tape, y, &[x]);
+}
+
+#[test]
+fn gradients_match_grad_of_a_gradient() {
+    // The distillation pattern: differentiate a function of recorded
+    // first-order gradients, whose nodes include ReluMask and
+    // MaxUnpoolMask.
+    let mut rng = Rng::seed_from(41);
+    let mut tape = Tape::new();
+    let x = tape.leaf(smooth_randn(&[1, 1, 4, 4], &mut rng));
+    let w = tape.leaf(smooth_randn(&[1, 1, 4, 4], &mut rng));
+    let prod = tape.mul(x, w);
+    let r = tape.relu(prod);
+    let p = tape.max_pool2d(r, 1, 4, 4, 2);
+    let e = tape.exp(p);
+    let loss = tape.sum_all(e);
+    let gw = tape.grad(loss, &[w])[0];
+    let gg = tape.mul(gw, gw);
+    let shifted = tape.add_scalar(gg, 1.0);
+    let sq = tape.sqrt(shifted);
+    let phi = tape.sum_all(sq);
+    assert_sweeps_agree(&mut tape, phi, &[x, w]);
+}
+
+#[test]
+fn gradients_leave_the_tape_unchanged() {
+    let mut tape = Tape::new();
+    let x = tape.leaf(Tensor::from_vec(vec![1.0, -2.0, 0.5], &[3]));
+    let sq = tape.mul(x, x);
+    let y = tape.sum_all(sq);
+    let before = tape.len();
+    let g = tape.gradients(y, &[x]);
+    assert_eq!(tape.len(), before);
+    assert_eq!(g[0].data(), &[2.0, -4.0, 1.0]);
+}
+
+#[test]
+fn restricting_xs_leaves_each_gradient_unchanged() {
+    // Only nodes that depend on some requested variable receive adjoints;
+    // asking for fewer variables must not change any remaining gradient.
+    let mut rng = Rng::seed_from(42);
+    let geo = Conv2dGeometry::new(2, 4, 4, 3, 1, 1);
+    let mut tape = Tape::new();
+    let x = tape.leaf(smooth_randn(&[2, 2, 4, 4], &mut rng));
+    let w = tape.leaf(smooth_randn(&[3, 2 * 3 * 3], &mut rng));
+    let cols = tape.im2col(x, geo);
+    let wt = tape.transpose2(w);
+    let y = tape.matmul(cols, wt);
+    let img = tape.rows_to_nchw(y, 2, 3, 4, 4);
+    let act = tape.tanh(img);
+    let loss = tape.sum_all(act);
+    let gw = tape.grad(loss, &[w])[0];
+    let sq = tape.mul(gw, gw);
+    let phi = tape.sum_all(sq);
+    for target in [loss, phi] {
+        let both = tape.gradients(target, &[x, w]);
+        let only_x = tape.gradients(target, &[x]);
+        let only_w = tape.gradients(target, &[w]);
+        for (alone, joint) in [(&only_x[0], &both[0]), (&only_w[0], &both[1])] {
+            assert!(alone
+                .data()
+                .iter()
+                .zip(joint.data())
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+        assert_sweeps_agree(&mut tape, target, &[x]);
+        assert_sweeps_agree(&mut tape, target, &[w]);
+    }
 }

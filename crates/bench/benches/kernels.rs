@@ -3,9 +3,8 @@
 //! gradient-matching step.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qd_autograd::Tape;
-use qd_distill::{match_class_step, reference_gradients};
-use qd_nn::{cross_entropy, ConvNet, Module};
+use qd_distill::match_class_step;
+use qd_nn::{cross_entropy_gradients, ConvNet, Module};
 use qd_tensor::rng::Rng;
 use qd_tensor::{im2col, Conv2dGeometry, Tensor};
 use std::hint::black_box;
@@ -39,17 +38,10 @@ fn bench_kernels(c: &mut Criterion) {
     });
 
     group.bench_function("convnet_fwd_bwd_b32", |bench| {
-        bench.iter(|| {
-            let mut tape = Tape::new();
-            let p: Vec<_> = params.iter().map(|t| tape.leaf(t.clone())).collect();
-            let xv = tape.constant(x.clone());
-            let logits = net.forward(&mut tape, &p, xv);
-            let loss = cross_entropy(&mut tape, logits, &labels, 10);
-            black_box(tape.grad(loss, &p));
-        })
+        bench.iter(|| black_box(cross_entropy_gradients(&net, &params, &x, &labels, 10)))
     });
 
-    let refs = reference_gradients(&net, &params, &x, &labels, 10);
+    let refs = cross_entropy_gradients(&net, &params, &x, &labels, 10);
     let syn = Tensor::randn(&[2, 3, 16, 16], &mut rng);
     group.bench_function("gradient_match_step_syn2", |bench| {
         bench.iter(|| {

@@ -20,8 +20,9 @@
 //! forgotten sample are collateral).
 
 use qd_data::Dataset;
-use qd_distill::{match_class_step, reference_gradients};
+use qd_distill::match_class_step;
 use qd_fed::{sgd_trainers, Federation, Phase, PhaseStats};
+use qd_nn::cross_entropy_gradients;
 use qd_tensor::rng::Rng;
 use qd_tensor::Tensor;
 use qd_unlearn::MethodOutcome;
@@ -151,7 +152,8 @@ impl SampleLevelQuickDrop {
                     // Match against this subset's gradients at the trained
                     // parameters.
                     let (x, y) = subset_data.all();
-                    let refs = reference_gradients(model.as_ref(), &params, &x, &y, data.classes());
+                    let refs =
+                        cross_entropy_gradients(model.as_ref(), &params, &x, &y, data.classes());
                     let (matched, _) = match_class_step(
                         model.as_ref(),
                         &params,

@@ -62,11 +62,11 @@ pub fn distribution_match_step(
         if steps == 0 {
             break;
         }
-        let Some(g) = tape.grad(obj, &[sv]).pop() else {
+        let Some(g) = tape.gradients(obj, &[sv]).pop() else {
             break;
         };
         let mut updated = syn.clone();
-        updated.axpy(-lr, tape.value(g));
+        updated.axpy(-lr, &g);
         syn = updated;
     }
     (syn, first)

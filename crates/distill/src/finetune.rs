@@ -1,9 +1,9 @@
 //! Optional post-hoc fine-tuning of a synthetic set across fresh model
 //! initializations (Section 3.3.2, Figure 5).
 
-use crate::{match_class_step, reference_gradients, SyntheticSet};
+use crate::{match_class_step, SyntheticSet};
 use qd_data::Dataset;
-use qd_nn::{Module, Sgd};
+use qd_nn::{cross_entropy_gradients, Module, Sgd};
 use qd_tensor::rng::Rng;
 
 /// Hyper-parameters of synthetic-set fine-tuning (the generalization-
@@ -71,7 +71,7 @@ pub fn finetune(
                 let picks = rng.choose_indices(members.len(), take);
                 let idx: Vec<usize> = picks.into_iter().map(|p| members[p]).collect();
                 let (x, y) = real.batch(&idx);
-                let refs = reference_gradients(model, &params, &x, &y, real.classes());
+                let refs = cross_entropy_gradients(model, &params, &x, &y, real.classes());
                 real_grad_evals += y.len();
                 if let Some(samples) = syn.class_samples(class).cloned() {
                     let (updated, _) = match_class_step(
@@ -93,7 +93,7 @@ pub fn finetune(
             let opt = Sgd::descent(cfg.lr_model);
             for _ in 0..cfg.model_steps {
                 let (x, y) = syn_data.sample_batch(syn_data.len().min(64), rng);
-                let grads = reference_gradients(model, &params, &x, &y, real.classes());
+                let grads = cross_entropy_gradients(model, &params, &x, &y, real.classes());
                 opt.step(&mut params, &grads);
             }
         }
@@ -150,7 +150,7 @@ mod tests {
             let opt = Sgd::descent(0.1);
             for _ in 0..60 {
                 let (x, y) = data.sample_batch(32, &mut r);
-                let grads = reference_gradients(&model, &params, &x, &y, 10);
+                let grads = cross_entropy_gradients(&model, &params, &x, &y, 10);
                 opt.step(&mut params, &grads);
             }
             accuracy(&model, &params, &test)

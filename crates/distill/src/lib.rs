@@ -59,7 +59,7 @@ mod trajectory;
 pub use augment::augment_with_real;
 pub use distribution::distribution_match_step;
 pub use finetune::{finetune, FinetuneConfig};
-pub use matching::{match_class_step, matching_distance, reference_gradients};
+pub use matching::{match_class_step, matching_distance};
 pub use synset::SyntheticSet;
 pub use trainer::{distilling_trainers, DistillConfig, DistillingTrainer, MatchObjective};
 pub use trajectory::{trajectory_match_step, ExpertTrajectory};

@@ -7,24 +7,6 @@ use qd_tensor::Tensor;
 /// Numerical floor for the cosine denominator.
 const EPS: f32 = 1e-6;
 
-/// Cross-entropy gradients of `model` at `params` on one labelled batch,
-/// returned as plain tensors (the *detached* reference branch of Eq. 5).
-pub fn reference_gradients(
-    model: &dyn Module,
-    params: &[Tensor],
-    x: &Tensor,
-    labels: &[usize],
-    classes: usize,
-) -> Vec<Tensor> {
-    let mut tape = Tape::new();
-    let p: Vec<Var> = params.iter().map(|t| tape.leaf(t.clone())).collect();
-    let xv = tape.constant(x.clone());
-    let logits = model.forward(&mut tape, &p, xv);
-    let loss = cross_entropy(&mut tape, logits, labels, classes);
-    let grads = tape.grad(loss, &p);
-    grads.into_iter().map(|g| tape.value(g).clone()).collect()
-}
-
 /// Builds the layerwise gradient-matching distance of Zhao et al. (2021)
 /// on the tape:
 ///
@@ -124,11 +106,11 @@ pub fn match_class_step(
         if steps == 0 {
             break;
         }
-        let Some(g) = tape.grad(dist, &[sv]).pop() else {
+        let Some(g) = tape.gradients(dist, &[sv]).pop() else {
             break;
         };
         let mut updated = syn.clone();
-        updated.axpy(-lr, tape.value(g));
+        updated.axpy(-lr, &g);
         syn = updated;
     }
     (syn, first_distance)
@@ -138,7 +120,7 @@ pub fn match_class_step(
 mod tests {
     use super::*;
     use qd_data::SyntheticDataset;
-    use qd_nn::Mlp;
+    use qd_nn::{cross_entropy_gradients, Mlp};
     use qd_tensor::rng::Rng;
 
     #[test]
@@ -191,7 +173,7 @@ mod tests {
         let data = SyntheticDataset::Digits.generate(120, &mut rng);
         let class = 3;
         let (real_x, real_y) = data.only_class(class).all();
-        let refs = reference_gradients(&model, &params, &real_x, &real_y, 10);
+        let refs = cross_entropy_gradients(&model, &params, &real_x, &real_y, 10);
         let syn0 = Tensor::randn(&[2, 1, 16, 16], &mut rng);
 
         let (_, d0) = match_class_step(&model, &params, &refs, syn0.clone(), class, 10, 1.0, 1);
@@ -218,7 +200,7 @@ mod tests {
         let data = SyntheticDataset::Digits.generate(80, &mut rng);
         let class = 1;
         let (real_x, real_y) = data.only_class(class).all();
-        let refs = reference_gradients(&model, &params, &real_x, &real_y, 10);
+        let refs = cross_entropy_gradients(&model, &params, &real_x, &real_y, 10);
         let mut syn = Tensor::randn(&[2, 1, 16, 16], &mut rng);
         let (_, d0) = match_class_step(&model, &params, &refs, syn.clone(), class, 10, 1.0, 1);
         for _ in 0..40 {
@@ -230,19 +212,5 @@ mod tests {
             d_after < d0 * 0.7,
             "LeNet matching distance should drop: {d0} -> {d_after}"
         );
-    }
-
-    #[test]
-    fn reference_gradients_shapes_match_params() {
-        let mut rng = Rng::seed_from(5);
-        let model = Mlp::new(&[256, 8, 10]);
-        let params = model.init(&mut rng);
-        let data = SyntheticDataset::Digits.generate(16, &mut rng);
-        let (x, y) = data.all();
-        let refs = reference_gradients(&model, &params, &x, &y, 10);
-        assert_eq!(refs.len(), params.len());
-        for (r, p) in refs.iter().zip(&params) {
-            assert_eq!(r.dims(), p.dims());
-        }
     }
 }

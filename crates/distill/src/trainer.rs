@@ -1,11 +1,11 @@
 //! The in-situ distilling client trainer (Algorithm 2 of the paper).
 
-use crate::{distribution_match_step, match_class_step, reference_gradients, SyntheticSet};
+use crate::{distribution_match_step, match_class_step, SyntheticSet};
 use qd_data::Dataset;
 use qd_fed::{ClientTrainer, LocalOutcome, Phase};
-use qd_nn::{Module, Sgd};
+use qd_nn::{cross_entropy_gradients, Module, Sgd};
 use qd_tensor::rng::Rng;
-use qd_tensor::Tensor;
+use qd_tensor::{Recycle, Tensor};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -173,6 +173,8 @@ impl ClientTrainer for DistillingTrainer {
         }
         let mut samples = 0usize;
         let opt = Sgd::new(phase.lr, phase.direction);
+        // Every step allocates the same buffers: recycle them across steps.
+        let _recycle = Recycle::scope();
         for _ in 0..phase.local_steps {
             if data.is_empty() {
                 break;
@@ -180,7 +182,8 @@ impl ClientTrainer for DistillingTrainer {
             // FL update on real data (Algorithm 2, lines 12-13, 17).
             let (x, y) = data.sample_batch(phase.batch_size, &mut batch_rng);
             samples += y.len();
-            let grads = reference_gradients(self.model.as_ref(), &params, &x, &y, data.classes());
+            let grads =
+                cross_entropy_gradients(self.model.as_ref(), &params, &x, &y, data.classes());
 
             // Class-wise gradient matching (lines 14-15), timed as DD
             // overhead.
@@ -230,8 +233,13 @@ impl DistillingTrainer {
         if let Some(syn) = syn {
             let updated = match self.config.objective {
                 MatchObjective::Gradient => {
-                    let refs =
-                        reference_gradients(self.model.as_ref(), params, &x, &y, data.classes());
+                    let refs = cross_entropy_gradients(
+                        self.model.as_ref(),
+                        params,
+                        &x,
+                        &y,
+                        data.classes(),
+                    );
                     match_class_step(
                         self.model.as_ref(),
                         params,

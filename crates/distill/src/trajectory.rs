@@ -50,7 +50,7 @@ impl ExpertTrajectory {
         let opt = Sgd::descent(lr);
         for step in 1..=steps {
             let (x, y) = data.sample_batch(batch, rng);
-            let grads = crate::reference_gradients(model, &params, &x, &y, data.classes());
+            let grads = qd_nn::cross_entropy_gradients(model, &params, &x, &y, data.classes());
             opt.step(&mut params, &grads);
             if step % snapshot_every == 0 {
                 checkpoints.push(params.clone());
@@ -182,10 +182,10 @@ pub fn trajectory_match_step(
 
     // Descend the synthetic pixels through the unrolled trajectory.
     let leaf_vars: Vec<Var> = leaves.iter().map(|&(_, v)| v).collect();
-    let grads = tape.grad(objective, &leaf_vars);
+    let grads = tape.gradients(objective, &leaf_vars);
     for (&(c, _), g) in leaves.iter().zip(&grads) {
         let mut updated = syn.class_samples(c).unwrap().clone();
-        updated.axpy(-syn_lr, tape.value(*g));
+        updated.axpy(-syn_lr, g);
         syn.set_class_samples(c, updated);
     }
     value

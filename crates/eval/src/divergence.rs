@@ -7,6 +7,7 @@
 //! predictive distributions directly and are used by the test-suite to
 //! check that unlearned models move *toward* the oracle.
 
+use crate::chunks::{for_batches, EVAL_BATCH};
 use qd_data::Dataset;
 use qd_nn::{forward_inference, Module};
 use qd_tensor::Tensor;
@@ -20,13 +21,26 @@ pub fn prediction_agreement(
     params_b: &[Tensor],
     data: &Dataset,
 ) -> f32 {
+    agreement_in_chunks(model, params_a, params_b, data, EVAL_BATCH)
+}
+
+fn agreement_in_chunks(
+    model: &dyn Module,
+    params_a: &[Tensor],
+    params_b: &[Tensor],
+    data: &Dataset,
+    chunk: usize,
+) -> f32 {
     if data.is_empty() {
         return 1.0;
     }
-    let (x, _) = data.all();
-    let pa = forward_inference(model, params_a, &x).row_argmax();
-    let pb = forward_inference(model, params_b, &x).row_argmax();
-    pa.iter().zip(&pb).filter(|(a, b)| a == b).count() as f32 / pa.len() as f32
+    let mut agree = 0usize;
+    for_batches(data, chunk, |x, _| {
+        let pa = forward_inference(model, params_a, x).row_argmax();
+        let pb = forward_inference(model, params_b, x).row_argmax();
+        agree += pa.iter().zip(&pb).filter(|(a, b)| a == b).count();
+    });
+    agree as f32 / data.len() as f32
 }
 
 /// Mean KL divergence `KL(softmax_a ‖ softmax_b)` over `data` (nats).
@@ -38,23 +52,30 @@ pub fn prediction_kl(
     params_b: &[Tensor],
     data: &Dataset,
 ) -> f32 {
+    kl_in_chunks(model, params_a, params_b, data, EVAL_BATCH)
+}
+
+fn kl_in_chunks(
+    model: &dyn Module,
+    params_a: &[Tensor],
+    params_b: &[Tensor],
+    data: &Dataset,
+    chunk: usize,
+) -> f32 {
     if data.is_empty() {
         return 0.0;
     }
-    let (x, _) = data.all();
-    let la = forward_inference(model, params_a, &x).log_softmax_rows();
-    let lb = forward_inference(model, params_b, &x).log_softmax_rows();
-    let n = la.dims()[0];
-    let c = la.dims()[1];
+    // One f64 sum over all rows in sample order, whatever the chunking.
     let mut total = 0.0f64;
-    for i in 0..n {
-        for j in 0..c {
-            let lp = la.data()[i * c + j] as f64;
-            let lq = lb.data()[i * c + j] as f64;
+    for_batches(data, chunk, |x, _| {
+        let la = forward_inference(model, params_a, x).log_softmax_rows();
+        let lb = forward_inference(model, params_b, x).log_softmax_rows();
+        for (&lp, &lq) in la.data().iter().zip(lb.data()) {
+            let (lp, lq) = (lp as f64, lq as f64);
             total += lp.exp() * (lp - lq);
         }
-    }
-    (total / n as f64) as f32
+    });
+    (total / data.len() as f64) as f32
 }
 
 #[cfg(test)]
@@ -95,6 +116,19 @@ mod tests {
         let ab = prediction_kl(&model, &a, &b, &data);
         let ba = prediction_kl(&model, &b, &a, &data);
         assert!(ab >= 0.0 && ba >= 0.0);
+    }
+
+    #[test]
+    fn divergence_does_not_depend_on_the_chunk_size() {
+        let (model, a, b, data) = setup();
+        let agree = agreement_in_chunks(&model, &a, &b, &data, 256);
+        let kl = kl_in_chunks(&model, &a, &b, &data, 256);
+        for chunk in [1, 7, 32] {
+            let chunked = agreement_in_chunks(&model, &a, &b, &data, chunk);
+            assert_eq!(chunked.to_bits(), agree.to_bits(), "agreement at {chunk}");
+            let chunked = kl_in_chunks(&model, &a, &b, &data, chunk);
+            assert_eq!(chunked.to_bits(), kl.to_bits(), "KL at chunk {chunk}");
+        }
     }
 
     #[test]

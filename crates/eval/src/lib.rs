@@ -33,6 +33,7 @@
 #![deny(rust_2018_idioms)]
 #![warn(missing_docs)]
 
+mod chunks;
 mod divergence;
 mod metrics;
 mod mia;

@@ -1,19 +1,21 @@
 //! Accuracy and loss metrics.
 
+use crate::chunks::{for_batches, EVAL_BATCH};
 use qd_data::Dataset;
 use qd_nn::{forward_inference, Module};
 use qd_tensor::Tensor;
 
-/// Evaluation batch size: bounds peak memory on large test sets.
-const EVAL_BATCH: usize = 256;
-
 /// Top-1 accuracy of `model(params)` on `data` (0 for an empty dataset).
 pub fn accuracy(model: &dyn Module, params: &[Tensor], data: &Dataset) -> f32 {
+    accuracy_in_chunks(model, params, data, EVAL_BATCH)
+}
+
+fn accuracy_in_chunks(model: &dyn Module, params: &[Tensor], data: &Dataset, chunk: usize) -> f32 {
     if data.is_empty() {
         return 0.0;
     }
     let mut correct = 0usize;
-    for_batches(data, |x, y| {
+    for_batches(data, chunk, |x, y| {
         let logits = forward_inference(model, params, x);
         let preds = logits.row_argmax();
         correct += preds.iter().zip(y).filter(|(p, t)| p == t).count();
@@ -23,9 +25,18 @@ pub fn accuracy(model: &dyn Module, params: &[Tensor], data: &Dataset) -> f32 {
 
 /// Per-class top-1 accuracy; classes absent from `data` report 0.
 pub fn per_class_accuracy(model: &dyn Module, params: &[Tensor], data: &Dataset) -> Vec<f32> {
+    per_class_accuracy_in_chunks(model, params, data, EVAL_BATCH)
+}
+
+fn per_class_accuracy_in_chunks(
+    model: &dyn Module,
+    params: &[Tensor],
+    data: &Dataset,
+    chunk: usize,
+) -> Vec<f32> {
     let mut correct = vec![0usize; data.classes()];
     let mut total = vec![0usize; data.classes()];
-    for_batches(data, |x, y| {
+    for_batches(data, chunk, |x, y| {
         let logits = forward_inference(model, params, x);
         let preds = logits.row_argmax();
         for (p, &t) in preds.iter().zip(y) {
@@ -61,8 +72,17 @@ pub fn split_accuracy(
 /// Per-sample cross-entropy losses of `model(params)` on `data`, in sample
 /// order. The raw material of the loss-threshold MIA.
 pub fn sample_losses(model: &dyn Module, params: &[Tensor], data: &Dataset) -> Vec<f32> {
+    sample_losses_in_chunks(model, params, data, EVAL_BATCH)
+}
+
+fn sample_losses_in_chunks(
+    model: &dyn Module,
+    params: &[Tensor],
+    data: &Dataset,
+    chunk: usize,
+) -> Vec<f32> {
     let mut losses = Vec::with_capacity(data.len());
-    for_batches(data, |x, y| {
+    for_batches(data, chunk, |x, y| {
         let logits = forward_inference(model, params, x);
         let ls = logits.log_softmax_rows();
         let classes = data.classes();
@@ -73,22 +93,11 @@ pub fn sample_losses(model: &dyn Module, params: &[Tensor], data: &Dataset) -> V
     losses
 }
 
-fn for_batches(data: &Dataset, mut f: impl FnMut(&Tensor, &[usize])) {
-    let mut start = 0;
-    while start < data.len() {
-        let end = (start + EVAL_BATCH).min(data.len());
-        let idx: Vec<usize> = (start..end).collect();
-        let (x, y) = data.batch(&idx);
-        f(&x, &y);
-        start = end;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qd_data::SyntheticDataset;
-    use qd_nn::Mlp;
+    use qd_nn::{Mlp, Module};
     use qd_tensor::rng::Rng;
 
     /// A "model" whose logits are constant: always predicts class 0.
@@ -138,6 +147,38 @@ mod tests {
         let empty = data.subset(&[]);
         let (model, params) = constant_class0();
         assert_eq!(accuracy(&model, &params, &empty), 0.0);
+    }
+
+    #[test]
+    fn metrics_do_not_depend_on_the_chunk_size() {
+        let mut rng = Rng::seed_from(5);
+        let data = SyntheticDataset::Digits.generate(300, &mut rng);
+        let model = qd_nn::ConvNet::new(1, 16, 2, 8, 10);
+        let params = model.init(&mut rng);
+        let acc = accuracy_in_chunks(&model, &params, &data, 256);
+        let per_class = per_class_accuracy_in_chunks(&model, &params, &data, 256);
+        let losses = sample_losses_in_chunks(&model, &params, &data, 256);
+        assert_eq!(losses.len(), data.len());
+        for chunk in [1, 7, 32] {
+            assert_eq!(
+                accuracy_in_chunks(&model, &params, &data, chunk).to_bits(),
+                acc.to_bits(),
+                "accuracy at chunk {chunk}"
+            );
+            assert_eq!(
+                per_class_accuracy_in_chunks(&model, &params, &data, chunk),
+                per_class,
+                "per-class accuracy at chunk {chunk}"
+            );
+            let chunked = sample_losses_in_chunks(&model, &params, &data, chunk);
+            assert!(
+                chunked
+                    .iter()
+                    .zip(&losses)
+                    .all(|(a, b)| a.to_bits() == b.to_bits()),
+                "per-sample losses at chunk {chunk}"
+            );
+        }
     }
 
     #[test]

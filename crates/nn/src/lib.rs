@@ -36,9 +36,8 @@
 //! let xv = tape.constant(x);
 //! let logits = model.forward(&mut tape, &p, xv);
 //! let loss = cross_entropy(&mut tape, logits, &labels, 3);
-//! let grads = tape.grad(loss, &p);
-//! let grad_tensors: Vec<Tensor> = grads.iter().map(|g| tape.value(*g).clone()).collect();
-//! Sgd::descent(0.1).step(&mut params, &grad_tensors);
+//! let grads = tape.gradients(loss, &p);
+//! Sgd::descent(0.1).step(&mut params, &grads);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -55,7 +54,7 @@ mod params;
 pub use layers::{
     AvgPool2d, Conv2d, Flatten, InstanceNorm2d, Linear, MaxPool2d, Relu, Sigmoid, Tanh,
 };
-pub use loss::{cross_entropy, mse, one_hot};
+pub use loss::{cross_entropy, cross_entropy_gradients, mse, one_hot};
 pub use models::{ConvNet, LeNet, Mlp};
 pub use module::{forward_inference, Module, Sequential};
 pub use optim::{Direction, Sgd};

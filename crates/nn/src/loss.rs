@@ -1,5 +1,6 @@
 //! Losses: cross-entropy over logits, mean-squared error, one-hot helper.
 
+use crate::Module;
 use qd_autograd::{Tape, Var};
 use qd_tensor::Tensor;
 
@@ -37,6 +38,41 @@ pub fn cross_entropy(tape: &mut Tape, logits: Var, labels: &[usize], classes: us
     let total = tape.sum_all(picked);
     let neg = tape.neg(total);
     tape.scale(neg, 1.0 / labels.len().max(1) as f32)
+}
+
+/// Cross-entropy gradients of `model` at `params` on one labelled batch,
+/// as plain tensors in parameter order.
+///
+/// The first-order gradient of local SGD, gradient ascent and the
+/// detached reference branch of gradient matching. Built on
+/// [`Tape::gradients`], so no backward nodes are recorded.
+///
+/// # Examples
+///
+/// ```
+/// use qd_nn::{cross_entropy_gradients, Mlp, Module};
+/// use qd_tensor::{rng::Rng, Tensor};
+///
+/// let mut rng = Rng::seed_from(0);
+/// let model = Mlp::new(&[4, 3]);
+/// let params = model.init(&mut rng);
+/// let x = Tensor::randn(&[2, 4], &mut rng);
+/// let grads = cross_entropy_gradients(&model, &params, &x, &[0, 2], 3);
+/// assert_eq!(grads[0].dims(), params[0].dims());
+/// ```
+pub fn cross_entropy_gradients(
+    model: &dyn Module,
+    params: &[Tensor],
+    x: &Tensor,
+    labels: &[usize],
+    classes: usize,
+) -> Vec<Tensor> {
+    let mut tape = Tape::new();
+    let p: Vec<Var> = params.iter().map(|t| tape.leaf(t.clone())).collect();
+    let xv = tape.constant(x.clone());
+    let logits = model.forward(&mut tape, &p, xv);
+    let loss = cross_entropy(&mut tape, logits, labels, classes);
+    tape.gradients(loss, &p)
 }
 
 /// Mean squared error between two same-shaped variables.

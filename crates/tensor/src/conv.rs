@@ -105,7 +105,7 @@ pub fn im2col(x: &Tensor, geo: &Conv2dGeometry) -> Tensor {
     let n = x.len() / per_image;
     let rows = geo.rows(n);
     let cols = geo.patch_len();
-    let mut out = vec![0.0f32; rows * cols];
+    let mut out = crate::recycle::filled(rows * cols, 0.0);
     let data = x.data();
     let k = geo.kernel;
     for b in 0..n {
@@ -164,7 +164,7 @@ pub fn col2im(cols_t: &Tensor, geo: &Conv2dGeometry) -> Tensor {
     );
     let n = cols_t.dims()[0] / per_image_rows;
     let per_image = geo.in_channels * geo.in_h * geo.in_w;
-    let mut out = vec![0.0f32; n * per_image];
+    let mut out = crate::recycle::filled(n * per_image, 0.0);
     let data = cols_t.data();
     let k = geo.kernel;
     for b in 0..n {
@@ -219,7 +219,7 @@ pub fn avg_pool2d(x: &Tensor, c: usize, h: usize, w: usize, k: usize) -> Tensor 
     );
     let n = x.len() / per_image;
     let (oh, ow) = (h / k, w / k);
-    let mut out = vec![0.0f32; n * c * oh * ow];
+    let mut out = crate::recycle::filled(n * c * oh * ow, 0.0);
     let inv = 1.0 / (k * k) as f32;
     let data = x.data();
     for b in 0..n {
@@ -258,7 +258,7 @@ pub fn avg_unpool2d(y: &Tensor, c: usize, oh: usize, ow: usize, k: usize) -> Ten
     );
     let n = y.len() / per_image;
     let (h, w) = (oh * k, ow * k);
-    let mut out = vec![0.0f32; n * c * h * w];
+    let mut out = crate::recycle::filled(n * c * h * w, 0.0);
     let inv = 1.0 / (k * k) as f32;
     let data = y.data();
     for b in 0..n {

@@ -8,7 +8,9 @@
 //! for non-IID federated partitioning).
 //!
 //! Everything is deliberately simple and deterministic: no SIMD intrinsics,
-//! no unsafe, no global state. Higher layers (`qd-autograd`, `qd-nn`)
+//! no unsafe, and no global state beyond the per-thread buffer free list
+//! of a [`Recycle`] scope, which changes where buffers come from but never
+//! what is computed in them. Higher layers (`qd-autograd`, `qd-nn`)
 //! build differentiability and model structure on top of these kernels.
 //!
 //! # Examples
@@ -28,11 +30,13 @@
 
 mod conv;
 mod linalg;
+mod recycle;
 mod reduce;
 pub mod rng;
 mod shape;
 mod tensor;
 
 pub use conv::{avg_pool2d, avg_unpool2d, col2im, im2col, Conv2dGeometry};
+pub use recycle::Recycle;
 pub use shape::Shape;
 pub use tensor::Tensor;

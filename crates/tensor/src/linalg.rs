@@ -28,7 +28,7 @@ impl Tensor {
         );
         let a = self.data();
         let b = other.data();
-        let mut out = vec![0.0f32; m * n];
+        let mut out = crate::recycle::filled(m * n, 0.0);
         for i in 0..m {
             let arow = &a[i * k..(i + 1) * k];
             let orow = &mut out[i * n..(i + 1) * n];
@@ -54,7 +54,7 @@ impl Tensor {
         assert_eq!(self.shape().rank(), 2, "transpose2 requires rank 2");
         let (m, n) = (self.dims()[0], self.dims()[1]);
         let a = self.data();
-        let mut out = vec![0.0f32; m * n];
+        let mut out = crate::recycle::filled(m * n, 0.0);
         for i in 0..m {
             for j in 0..n {
                 out[j * m + i] = a[i * n + j];

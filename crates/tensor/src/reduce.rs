@@ -11,7 +11,7 @@ impl Tensor {
     pub fn sum_rows(&self) -> Tensor {
         assert_eq!(self.shape().rank(), 2, "sum_rows requires rank 2");
         let n = self.dims()[1];
-        let mut out = vec![0.0f32; n];
+        let mut out = crate::recycle::filled(n, 0.0);
         for row in self.data().chunks_exact(n) {
             for (slot, v) in out.iter_mut().zip(row) {
                 *slot += v;
@@ -75,7 +75,7 @@ impl Tensor {
     pub fn log_softmax_rows(&self) -> Tensor {
         assert_eq!(self.shape().rank(), 2, "log_softmax requires rank 2");
         let (m, n) = (self.dims()[0], self.dims()[1]);
-        let mut out = vec![0.0f32; m * n];
+        let mut out = crate::recycle::filled(m * n, 0.0);
         for i in 0..m {
             let row = &self.data()[i * n..(i + 1) * n];
             let max = row.iter().cloned().fold(f32::NEG_INFINITY, f32::max);

@@ -1,5 +1,6 @@
 //! The dense row-major `f32` tensor type.
 
+use crate::recycle;
 use crate::rng::Rng;
 use crate::Shape;
 use serde::{Deserialize, Serialize};
@@ -7,11 +8,13 @@ use std::fmt;
 
 /// A dense, row-major, heap-allocated `f32` tensor.
 ///
-/// `Tensor` is a plain value type: cloning copies the buffer, and all
-/// operations return fresh tensors. This keeps federated-learning code
-/// (model averaging, gradient ascent, update calibration) free of aliasing
-/// concerns at the cost of some allocations, which is an acceptable trade
-/// at the scales this simulator targets.
+/// `Tensor` is a plain value type: cloning copies the buffer, and
+/// operations return fresh tensors rather than aliasing their inputs.
+/// This keeps federated-learning code (model averaging, gradient ascent,
+/// update calibration) free of aliasing concerns. The allocations that
+/// costs are absorbed by [`crate::Recycle`]: inside a recycling scope,
+/// large buffers of dropped tensors are reused by the next ones built,
+/// so a training loop's steady state allocates almost nothing.
 ///
 /// # Examples
 ///
@@ -22,10 +25,27 @@ use std::fmt;
 /// let y = x.add(&Tensor::full(&[2, 2], 1.0));
 /// assert_eq!(y.data(), &[4.0, 4.0, 4.0, 4.0]);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
     shape: Shape,
     data: Vec<f32>,
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        let mut data = recycle::take(self.data.len());
+        data.extend_from_slice(&self.data);
+        Tensor {
+            shape: self.shape.clone(),
+            data,
+        }
+    }
+}
+
+impl Drop for Tensor {
+    fn drop(&mut self) {
+        recycle::give(std::mem::take(&mut self.data));
+    }
 }
 
 impl Tensor {
@@ -67,7 +87,7 @@ impl Tensor {
     /// Creates a tensor filled with `value`.
     pub fn full(shape: &[usize], value: f32) -> Self {
         let shape = Shape::new(shape);
-        let data = vec![value; shape.len()];
+        let data = recycle::filled(shape.len(), value);
         Tensor { shape, data }
     }
 
@@ -125,8 +145,8 @@ impl Tensor {
     }
 
     /// Consumes the tensor and returns its buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
+    pub fn into_vec(mut self) -> Vec<f32> {
+        std::mem::take(&mut self.data)
     }
 
     /// The single element of a one-element tensor.
@@ -145,14 +165,32 @@ impl Tensor {
     ///
     /// Panics if the element counts differ.
     pub fn reshape(&self, shape: &[usize]) -> Tensor {
-        Tensor::from_vec(self.data.clone(), shape)
+        self.clone().into_shape(shape)
+    }
+
+    /// [`Tensor::reshape`] without the copy: reuses this tensor's buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the element counts differ.
+    pub fn into_shape(mut self, shape: &[usize]) -> Tensor {
+        Tensor::from_vec(std::mem::take(&mut self.data), shape)
     }
 
     /// Applies `f` elementwise, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
+        let mut data = recycle::take(self.data.len());
+        data.extend(self.data.iter().copied().map(f));
         Tensor {
             shape: self.shape.clone(),
-            data: self.data.iter().copied().map(f).collect(),
+            data,
+        }
+    }
+
+    /// Applies `f` elementwise in place.
+    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
+        for a in &mut self.data {
+            *a = f(*a);
         }
     }
 
@@ -167,14 +205,28 @@ impl Tensor {
             "zip_map shape mismatch: {} vs {}",
             self.shape, other.shape
         );
+        let mut data = recycle::take(self.data.len());
+        data.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
         Tensor {
             shape: self.shape.clone(),
-            data: self
-                .data
-                .iter()
-                .zip(&other.data)
-                .map(|(&a, &b)| f(a, b))
-                .collect(),
+            data,
+        }
+    }
+
+    /// Combines two same-shaped tensors elementwise in place:
+    /// `self[i] = f(self[i], other[i])`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if shapes differ.
+    pub fn zip_map_in_place(&mut self, other: &Tensor, f: impl Fn(f32, f32) -> f32) {
+        assert_eq!(
+            self.shape, other.shape,
+            "zip_map shape mismatch: {} vs {}",
+            self.shape, other.shape
+        );
+        for (a, &b) in self.data.iter_mut().zip(&other.data) {
+            *a = f(*a, b);
         }
     }
 

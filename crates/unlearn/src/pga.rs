@@ -12,9 +12,9 @@ use crate::{
     UnlearningMethod,
 };
 use qd_fed::{sgd_trainers, Federation, Phase, PhaseStats};
-use qd_nn::Sgd;
+use qd_nn::{cross_entropy_gradients, Sgd};
 use qd_tensor::rng::Rng;
-use qd_tensor::Tensor;
+use qd_tensor::{Recycle, Tensor};
 use std::time::Instant;
 
 /// Projected-gradient-ascent unlearning of a client (or class): local
@@ -144,10 +144,13 @@ impl UnlearningMethod for PgaHalimi {
                 let data = forget[i].as_ref().unwrap();
                 let mut local = reference.clone();
                 let mut crng = rng.fork(i as u64);
+                // Every step allocates the same buffers: recycle them
+                // across steps.
+                let recycle = Recycle::scope();
                 for _ in 0..self.ascent_steps {
                     let (x, y) = data.sample_batch(self.batch_size, &mut crng);
                     samples += y.len();
-                    let grads = crate::method::batch_grads(
+                    let grads = cross_entropy_gradients(
                         fed.model().as_ref(),
                         &local,
                         &x,
@@ -157,6 +160,7 @@ impl UnlearningMethod for PgaHalimi {
                     opt.step(&mut local, &grads);
                     self.project(&mut local, &reference);
                 }
+                drop(recycle);
                 // Ascent results bypass round ingestion (this method
                 // installs the aggregate via `set_global`), so screen
                 // each holder's delta through the same update guard a

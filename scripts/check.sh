@@ -38,6 +38,9 @@ echo "== qd-lint (--graph dot output matches the pinned fixture byte-for-byte)"
 echo "== cargo test"
 cargo test --offline --workspace -q
 
+echo "== allocation gate (counting allocator, one batch-32 ConvNet local step: no backward tape nodes, large allocations at the pinned ceilings)"
+cargo test --offline -p qd-nn --test alloc_gate -q
+
 echo "== journal kill-and-resume (release, every state boundary)"
 cargo test --offline --release -p qd-core --test journal_resume -q
 
