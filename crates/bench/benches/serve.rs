@@ -16,17 +16,15 @@
 //! the same final model, journal, and stats bit-for-bit.
 
 use qd_bench::{bench_config, print_paper_reference, Setup, Split};
-use qd_core::{BatchPreempt, Checkpoint, QuickDrop, RequestJournal};
+use qd_core::{BatchId, Checkpoint, FaultFs, QuickDrop, RequestJournal, RequestState, Vfs};
 use qd_data::SyntheticDataset;
 use qd_fed::{FaultKind, FaultPlan, Phase};
-use qd_serve::{
-    build_plan, run_service, run_service_isolated, ChaosKill, IsolationConfig, ServeConfig,
-    ServeStats,
-};
+use qd_serve::{build_plan, run_service, IsolationConfig, ServeConfig, ServeStats};
 use qd_tensor::rng::Rng;
 use qd_unlearn::{GuardPolicy, UnlearnRequest};
 use serde::Serialize;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 /// One benchmark row: a named tenant mix and what the service did.
 #[derive(Serialize)]
@@ -243,15 +241,14 @@ fn run_poisoned_mix(dep: &mut Deployment, name: &str, cfg: &ServeConfig) -> Serv
         dep.setup.fed.set_fault_plan(Some(fp));
         let (path, mut journal) = fresh_journal(name);
         let mut qd = snapshot_qd(dep);
-        let run = run_service_isolated(
+        let run = run_service(
             &mut qd,
             &mut dep.setup.fed,
             &mut journal,
             cfg,
             Some(&policy()),
-            &isolation(),
             &mut dep.setup.rng,
-            None,
+            Some(&isolation()),
         )
         .expect("the poisoned mix must degrade, not die");
         dep.setup.fed.set_fault_plan(None);
@@ -411,57 +408,68 @@ fn smoke_assertions(rows: &[MixRow], dep: &mut Deployment) {
         .position(|b| b.members.len() > 1)
         .expect("mix must contain a coalesced batch");
 
+    // Every run of the crash check lives on an in-memory `FaultFs`.
+    let ckpt_path = PathBuf::from("smoke.ckpt.json");
+    let journal_path = RequestJournal::path_for_checkpoint(&ckpt_path);
+    let open = |fs: &Arc<FaultFs>| {
+        let vfs: Arc<dyn Vfs> = Arc::clone(fs) as Arc<dyn Vfs>;
+        RequestJournal::open_on(vfs, journal_path.clone()).expect("open journal")
+    };
+    // One process: checkpoint the rewound deployment, serve the mix.
+    let serve = |dep: &mut Deployment, fs: &Arc<FaultFs>| {
+        dep.rewind();
+        let mut qd = snapshot_qd(dep);
+        Checkpoint::capture(dep.setup.fed.global(), &qd)
+            .save_on(fs.as_ref(), &ckpt_path)
+            .expect("checkpoint");
+        let mut journal = open(fs);
+        run_service(
+            &mut qd,
+            &mut dep.setup.fed,
+            &mut journal,
+            &cfg,
+            Some(&policy()),
+            &mut dep.setup.rng,
+            None,
+        )
+        .map(|_| journal)
+    };
+
     // Unfailed reference.
-    dep.rewind();
-    let (ref_path, mut ref_journal) = fresh_journal("smoke_ref");
-    let mut qd = snapshot_qd(dep);
-    run_service(
-        &mut qd,
-        &mut dep.setup.fed,
-        &mut ref_journal,
-        &cfg,
-        Some(&policy()),
-        &mut dep.setup.rng,
-        None,
-    )
-    .expect("reference run");
+    let ref_fs = Arc::new(FaultFs::new());
+    let reference = serve(dep, &ref_fs).expect("reference run");
     let ref_model = dep.setup.fed.global().to_vec();
 
-    // Killed run: die between the first and second UNLEARNED records of
-    // the coalesced batch, then "restart the process" (fresh QuickDrop
-    // from the checkpoint, journal reopened from disk) and finish.
-    dep.rewind();
-    let ckpt_path = bench_dir().join("smoke_kill.ckpt.json");
-    let mut qd = snapshot_qd(dep);
-    Checkpoint::capture(dep.setup.fed.global(), &qd)
-        .save(&ckpt_path)
-        .expect("checkpoint");
-    let (kill_path, mut journal) = fresh_journal("smoke_kill");
-    let rng_at_start = dep.setup.rng.state();
-    let run = run_service(
-        &mut qd,
-        &mut dep.setup.fed,
-        &mut journal,
-        &cfg,
-        Some(&policy()),
-        &mut dep.setup.rng,
-        Some(ChaosKill {
-            unit_index: batch_unit,
-            boundary: BatchPreempt::Unlearned(1),
-        }),
-    )
-    .expect("killed run reaches its boundary");
-    assert!(run.preempted, "the kill must fire");
-    drop(journal);
-    drop(qd);
+    // Killed run: die right after the first UNLEARNED record of the
+    // coalesced batch, before the second member's — the first storage
+    // op after the fsync that made that record durable, located in the
+    // reference run's op log — then "restart the process" (fresh
+    // QuickDrop from the checkpoint, journal reopened from the crashed
+    // disk) and finish.
+    let first_unlearned = reference
+        .boundary_frame(BatchId(batch_unit as u64), RequestState::Unlearned, 1)
+        .expect("the coalesced batch has UNLEARNED records");
+    let kill_op = reference
+        .kill_after(&ref_fs.op_log(), first_unlearned.start)
+        .expect("the boundary is in the reference log");
+    let fs = Arc::new(FaultFs::new());
+    fs.kill_at(kill_op);
+    let rng_at_start = dep.rng_mark.clone();
+    assert!(serve(dep, &fs).is_err(), "the kill must fire");
+    fs.crash();
 
-    let (params, mut qd) = Checkpoint::load(&ckpt_path)
+    let (params, mut qd) = Checkpoint::load_on(fs.as_ref(), &ckpt_path)
         .expect("reload checkpoint")
         .restore()
         .expect("restore");
     dep.setup.fed.set_global(params);
     dep.setup.rng = Rng::from_state(&rng_at_start);
-    let mut journal = RequestJournal::open(&kill_path).expect("reopen journal");
+    let mut journal = open(&fs);
+    assert_eq!(
+        journal.records().len(),
+        first_unlearned.end,
+        "the journal must end in the first member's UNLEARNED frame"
+    );
     qd.resume_requests(
         &mut dep.setup.fed,
         &mut journal,
@@ -490,7 +498,6 @@ fn smoke_assertions(rows: &[MixRow], dep: &mut Deployment) {
             assert_eq!(u.to_bits(), v.to_bits(), "kill+resume model diverged");
         }
     }
-    let reference = RequestJournal::open(&ref_path).expect("reopen reference");
     assert_eq!(
         reference.records().len(),
         journal.records().len(),
@@ -503,7 +510,4 @@ fn smoke_assertions(rows: &[MixRow], dep: &mut Deployment) {
         );
         assert_eq!(a.rng, b.rng, "journal RNG stream diverged at {}", a.seq);
     }
-    std::fs::remove_file(&ckpt_path).ok();
-    std::fs::remove_file(&ref_path).ok();
-    std::fs::remove_file(&kill_path).ok();
 }

@@ -5,22 +5,24 @@
 //! *reference* run, and a *faulted* run that arms the schedule's
 //! failures lifetime by lifetime on a [`FaultFs`], crashing the
 //! in-memory machine after every process death and resuming from
-//! whatever survived. Both runs share the workload (training mix,
-//! Byzantine plan, serving traffic) bit-for-bit, so the invariant
-//! registry can demand identical terminal states.
+//! whatever survived. Every death is a `FaultFs` kill; a death "right
+//! after a journal boundary" is located first, in the op log of the
+//! same lifetime: the cached reference run's for a fault-free first
+//! lifetime, a dry run's otherwise. Both runs share the workload
+//! (training mix, Byzantine plan, serving traffic) bit-for-bit, so the
+//! invariant registry can demand identical terminal states.
 
-use crate::schedule::{ChaosSchedule, Workload};
+use crate::schedule::{Boundary, ChaosSchedule, CrashPoint, StorageFault, Workload};
 use qd_core::{
-    Checkpoint, CrashPoint, FaultFs, JournalRecord, QuickDrop, QuickDropConfig, RequestJournal,
-    RequestState, Vfs,
+    BatchId, Checkpoint, FaultFs, JournalRecord, QuickDrop, QuickDropConfig, RequestJournal,
+    RequestState, Vfs, VfsOp,
 };
 use qd_data::{partition_iid, Dataset, SyntheticDataset};
 use qd_fed::{FaultPlan, Federation, Phase};
 use qd_net::NetConfig;
 use qd_nn::{Mlp, Module};
 use qd_serve::{
-    frontier_summary, run_service, run_service_isolated, ChaosKill, FrontierSummary,
-    IsolationConfig, ServeConfig, ServeStats,
+    frontier_summary, run_service, FrontierSummary, IsolationConfig, ServeConfig, ServeStats,
 };
 use qd_tensor::rng::{Rng, RngState};
 use qd_tensor::Tensor;
@@ -114,17 +116,30 @@ struct DeploySeed {
     rng: RngState,
 }
 
+/// One workload's fault-free reference run: its terminal state, plus
+/// its op log and journal, which locate boundary deaths in any
+/// lifetime that is that same run (empty disk, no storage faults).
+struct Reference {
+    terminal: Terminal,
+    log: Vec<(VfsOp, PathBuf)>,
+    journal: RequestJournal,
+}
+
 /// The chaos executor. Caches trained deployments and fault-free
-/// reference terminals across runs, keyed by the workload knobs that
+/// reference runs across runs, keyed by the workload knobs that
 /// produced them, so a multi-run sweep trains once per environment.
 #[derive(Default)]
 pub struct Harness {
     deploys: BTreeMap<String, DeploySeed>,
-    references: BTreeMap<String, Terminal>,
+    references: BTreeMap<String, Reference>,
 }
 
 fn ckpt_path() -> PathBuf {
     PathBuf::from("chaos.ckpt.json")
+}
+
+fn journal_path() -> PathBuf {
+    RequestJournal::path_for_checkpoint(ckpt_path())
 }
 
 fn stats_path() -> PathBuf {
@@ -259,7 +274,7 @@ impl Harness {
         let reference = self
             .references
             .get(&workload_key(&w))
-            .cloned()
+            .map(|r| r.terminal.clone())
             .ok_or_else(|| ChaosError("reference cache miss after fill".to_string()))?;
 
         let fs = Arc::new(FaultFs::new());
@@ -269,36 +284,29 @@ impl Harness {
         let mut last_error = String::new();
         loop {
             let (storage, crash) = schedule.faults_for(attempt);
-            let base = fs.op_count();
-            let mut armed: u64 = 0;
-            for (op, fault) in &storage {
-                fs.schedule_fault(base + op, fault.to_fault());
-                armed += 1;
-            }
-            let mut kill = None;
-            if let Some(point) = crash {
-                match point {
-                    CrashPoint::VfsOp(op) => {
-                        // Re-anchor the schedule's lifetime-relative op
-                        // index to this lifetime's first syscall.
-                        if fs.arm(&CrashPoint::VfsOp(base + op)) {
-                            armed += 1;
-                        }
-                    }
-                    CrashPoint::Boundary { .. } => kill = ChaosKill::from_point(&point),
+            let image = fs.files();
+            let kill = match crash {
+                Some(CrashPoint::VfsOp(op)) => Some(op),
+                Some(CrashPoint::Boundary { unit, boundary }) => {
+                    self.locate(&w, &fs, &image, &storage, unit, boundary)
                 }
+                None => None,
+            };
+            begin_lifetime(&fs, image, &storage);
+            if let Some(op) = kill {
+                // A storage fault at the located op never runs: the
+                // process dies right there, as one death.
+                fs.kill_at(op);
             }
-            match self.attempt(&w, &fs, kill) {
-                Ok(terminal) => {
-                    faults_fired += armed.saturating_sub(fs.pending_faults());
+            let armed = fs.pending_faults();
+            let result = self.attempt(&w, &fs);
+            faults_fired += armed.saturating_sub(fs.pending_faults());
+            match result {
+                Ok((terminal, _)) => {
                     faulted = Some(terminal);
                     break;
                 }
                 Err(death) => {
-                    faults_fired += armed.saturating_sub(fs.pending_faults());
-                    if death.starts_with(BOUNDARY_DEATH) {
-                        faults_fired += 1;
-                    }
                     last_error = death;
                     fs.crash();
                     attempt += 1;
@@ -318,6 +326,56 @@ impl Harness {
             faults_fired,
             last_error,
         })
+    }
+
+    /// Locates a boundary death: the first op after the fsync that made
+    /// `boundary` of planned unit `unit` durable
+    /// ([`RequestJournal::kill_after`]), in the lifetime that starts
+    /// from `image` with `storage` faults. On an empty disk with no
+    /// storage faults that lifetime is the cached reference run;
+    /// otherwise a dry run of it (same image and faults, no kill)
+    /// provides the op log. `None` when the lifetime never writes that
+    /// boundary, so the kill would never fire — without a dry run when
+    /// the image already holds it.
+    fn locate(
+        &self,
+        w: &Workload,
+        fs: &Arc<FaultFs>,
+        image: &BTreeMap<PathBuf, Vec<u8>>,
+        storage: &[(u64, StorageFault)],
+        unit: usize,
+        boundary: Boundary,
+    ) -> Option<u64> {
+        let (state, k) = match boundary {
+            Boundary::Received => (RequestState::Received, 1),
+            Boundary::Unlearned(k) => (RequestState::Unlearned, k),
+            Boundary::Recovered => (RequestState::Recovered, 1),
+            Boundary::Quarantined => (RequestState::Quarantined, 1),
+            Boundary::Failed => (RequestState::Failed, 1),
+        };
+        // The journal is dedicated to one plan and opens one batch per
+        // unit in plan order, so unit `u` is batch `u`.
+        let frame =
+            |journal: &RequestJournal| journal.boundary_frame(BatchId(unit as u64), state, k);
+        let at = |journal: &RequestJournal, log: &[(VfsOp, PathBuf)]| {
+            journal.kill_after(log, frame(journal)?.start)
+        };
+        if image.is_empty() && storage.is_empty() {
+            let reference = self.references.get(&workload_key(w))?;
+            return at(&reference.journal, &reference.log);
+        }
+        let open = || RequestJournal::open_on(Arc::clone(fs) as Arc<dyn Vfs>, journal_path()).ok();
+        // A boundary the image already holds is behind this lifetime.
+        fs.reset_to(image.clone());
+        if frame(&open()?).is_some() {
+            return None;
+        }
+        begin_lifetime(fs, image.clone(), storage);
+        // Only how far the dry run got matters, not how it ended.
+        let _ = self.attempt(w, fs);
+        let log = fs.op_log();
+        fs.clear_faults();
+        at(&open()?, &log)
     }
 
     fn ensure_deploy(&mut self, w: &Workload) -> Result<(), ChaosError> {
@@ -358,29 +416,36 @@ impl Harness {
             return Ok(());
         }
         let fs = Arc::new(FaultFs::new());
-        let terminal = self
-            .attempt(w, &fs, None)
+        let (terminal, journal) = self
+            .attempt(w, &fs)
             .map_err(|e| ChaosError(format!("fault-free reference run failed: {e}")))?;
-        self.references.insert(key, terminal);
+        let log = fs.op_log();
+        self.references.insert(
+            key,
+            Reference {
+                terminal,
+                log,
+                journal,
+            },
+        );
         Ok(())
     }
 
     /// One process lifetime: deploy or recover from whatever `fs`
     /// holds, serve to completion, persist stats, relearn when the
-    /// workload asks for it. Any surfaced storage error or boundary
-    /// preemption is the process dying, reported as `Err`.
+    /// workload asks for it; returns the terminal state and the
+    /// lifetime's journal. Any surfaced storage error is the process
+    /// dying, reported as `Err`.
     fn attempt(
         &self,
         w: &Workload,
         fs: &Arc<FaultFs>,
-        kill: Option<ChaosKill>,
-    ) -> Result<Terminal, String> {
+    ) -> Result<(Terminal, RequestJournal), String> {
         let seed = self
             .deploys
             .get(&env_key(w))
             .ok_or_else(|| "deploy cache miss".to_string())?;
         let ckpt = ckpt_path();
-        let journal_path = RequestJournal::path_for_checkpoint(&ckpt);
 
         // Deploy fresh or recover the durable checkpoint. The fresh
         // path saves the checkpoint before any journal write, so a
@@ -403,7 +468,8 @@ impl Harness {
         }
 
         let vfs: Arc<dyn Vfs> = Arc::clone(fs) as Arc<dyn Vfs>;
-        let mut journal = RequestJournal::open_on(vfs, journal_path).map_err(|e| e.to_string())?;
+        let mut journal =
+            RequestJournal::open_on(vfs, journal_path()).map_err(|e| e.to_string())?;
 
         if spike_active(w) {
             fed.set_fault_plan(Some(FaultPlan::serving_spike(
@@ -425,51 +491,34 @@ impl Harness {
             // live state from the tail and reread the persisted stats.
             qd.restore_tail(&mut fed, &journal, &mut rng);
             let stats = read_stats(fs)?;
-            return Ok(Terminal {
+            let terminal = Terminal {
                 global: fed.global().to_vec(),
                 rng: rng.state(),
                 records: journal.records().to_vec(),
                 stats,
                 frontier: None,
                 files: fs.files(),
-            });
+            };
+            return Ok((terminal, journal));
         }
 
-        let run = if iso.active() {
+        if !iso.active() {
             // The isolated executor resumes in-flight units itself (it
-            // must re-derive the retry-ladder rung first); the plain
-            // resume would finish them under the base policy.
-            run_service_isolated(
-                &mut qd,
-                &mut fed,
-                &mut journal,
-                &cfg,
-                Some(&policy),
-                &iso,
-                &mut rng,
-                kill,
-            )
-            .map_err(|e| e.to_string())?
-        } else {
+            // must re-derive the retry-ladder rung first); only the
+            // plain path finishes them here, under the base policy.
             qd.resume_requests(&mut fed, &mut journal, Some(&policy), &mut rng)
                 .map_err(|e| e.to_string())?;
-            run_service(
-                &mut qd,
-                &mut fed,
-                &mut journal,
-                &cfg,
-                Some(&policy),
-                &mut rng,
-                kill,
-            )
-            .map_err(|e| e.to_string())?
-        };
-        if run.preempted {
-            return Err(format!(
-                "{BOUNDARY_DEATH} after {} executed unit(s)",
-                run.executed_units
-            ));
         }
+        let run = run_service(
+            &mut qd,
+            &mut fed,
+            &mut journal,
+            &cfg,
+            Some(&policy),
+            &mut rng,
+            Some(&iso),
+        )
+        .map_err(|e| e.to_string())?;
 
         let frontier = frontier_summary(&cfg, &journal).map_err(|e| e.to_string());
         run.stats
@@ -489,21 +538,31 @@ impl Harness {
             }
         }
 
-        Ok(Terminal {
+        let terminal = Terminal {
             global: fed.global().to_vec(),
             rng: rng.state(),
             records: journal.records().to_vec(),
             stats: run.stats,
             frontier: Some(frontier),
             files: fs.files(),
-        })
+        };
+        Ok((terminal, journal))
     }
 }
 
-/// Prefix of the death message a journal-boundary kill produces; the
-/// fault accounting uses it to count the kill as fired (a boundary
-/// preemption leaves no unfired entry in the `FaultFs` schedule).
-const BOUNDARY_DEATH: &str = "preempted at journal boundary";
+/// Starts a lifetime on `fs`: the disk image the last death left (all
+/// of it durable after the crash), op indices counted from the
+/// lifetime's first syscall, and the lifetime's storage faults armed.
+fn begin_lifetime(
+    fs: &FaultFs,
+    image: BTreeMap<PathBuf, Vec<u8>>,
+    storage: &[(u64, StorageFault)],
+) {
+    fs.reset_to(image);
+    for (op, fault) in storage {
+        fs.schedule_fault(*op, fault.to_fault());
+    }
+}
 
 fn read_stats(fs: &FaultFs) -> Result<ServeStats, String> {
     let bytes = fs
@@ -512,4 +571,84 @@ fn read_stats(fs: &FaultFs) -> Result<ServeStats, String> {
     let text = String::from_utf8(bytes).map_err(|e| e.to_string())?;
     let value = serde_json::from_str(&text).map_err(|e| e.to_string())?;
     serde::Deserialize::from_value(&value).map_err(|e: serde::DeError| e.to_string())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::schedule::{FaultSpec, InjectedFault};
+
+    #[test]
+    fn a_storage_fault_at_the_located_op_is_not_a_second_death() {
+        let workload = Workload {
+            train_seed: 5,
+            samples: 60,
+            clients: 2,
+            rounds: 1,
+            byzantine_frac: 0.0,
+            net_drop: 0.0,
+            ascent_spike: 1.0,
+            tenants: 2,
+            requests: 2,
+            serve_seed: 9,
+            breaker_trip: 0,
+            breaker_cooldown: 2,
+            relearn: false,
+        };
+        let schedule = |faults| ChaosSchedule {
+            seed: 5,
+            workload: workload.clone(),
+            faults,
+            max_resumes: 2,
+        };
+        let kill = InjectedFault {
+            attempt: 0,
+            spec: FaultSpec::Crash(CrashPoint::Boundary {
+                unit: 0,
+                boundary: Boundary::Received,
+            }),
+        };
+        let mut harness = Harness::new();
+        let alone = harness.execute(&schedule(vec![kill])).expect("runs");
+        assert_eq!((alone.attempts, alone.faults_fired), (2, 1));
+
+        // The located op of the first lifetime, located the slow way:
+        // a dry run on a fresh disk must agree with the cached reference.
+        let fs = Arc::new(FaultFs::new());
+        let at = |storage: &[(u64, StorageFault)]| {
+            harness.locate(
+                &workload,
+                &fs,
+                &BTreeMap::new(),
+                storage,
+                0,
+                Boundary::Received,
+            )
+        };
+        let op = at(&[]).expect("located");
+        let far = [(u64::MAX, StorageFault::DiskFull)];
+        assert_eq!(at(&far), Some(op), "dry run and reference agree");
+
+        let torn = InjectedFault {
+            attempt: 0,
+            spec: FaultSpec::Storage {
+                op,
+                fault: StorageFault::TornWrite(1),
+            },
+        };
+        let both = harness.execute(&schedule(vec![kill, torn])).expect("runs");
+        assert_eq!(
+            (both.attempts, both.faults_fired),
+            (2, 1),
+            "one death fires one fault"
+        );
+        // The kill, not the torn write, was the death.
+        let files = |o: &RunOutcome| o.faulted.as_ref().map(|t| t.files.clone());
+        assert_eq!(files(&both), files(&alone));
+
+        // A boundary the disk image already holds is never reached.
+        let done = files(&alone).expect("completed");
+        let behind = harness.locate(&workload, &fs, &done, &[], 0, Boundary::Received);
+        assert_eq!(behind, None);
+    }
 }

@@ -8,8 +8,107 @@
 //! pure data: generated from a seed, serialized to JSON for
 //! `chaos-repro.json` artifacts, and replayed bit-for-bit.
 
-use qd_core::{CrashPoint, Fault};
+use qd_core::Fault;
 use serde::{DeError, Deserialize, Serialize, Value};
+
+/// A journal boundary inside one planned service unit: the instant
+/// right after that boundary's commit frame became durable.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Boundary {
+    /// The unit's atomic RECEIVED set.
+    Received,
+    /// The UNLEARNED record of active member `min(k, n)` (1-based, in
+    /// journal order): a count past the unit's size means its last
+    /// member, so `Unlearned(2)` still names a boundary of a unit of
+    /// one.
+    Unlearned(usize),
+    /// The unit's atomic RECOVERED set.
+    Recovered,
+    /// The unit's first QUARANTINED (dead-letter) set.
+    Quarantined,
+    /// The unit's FAILED (breaker-shed) set.
+    Failed,
+}
+
+impl Serialize for Boundary {
+    fn to_value(&self) -> Value {
+        match *self {
+            Boundary::Received => Value::Str("received".to_string()),
+            Boundary::Unlearned(n) => {
+                Value::Map(vec![("unlearned".to_string(), Serialize::to_value(&n))])
+            }
+            Boundary::Recovered => Value::Str("recovered".to_string()),
+            Boundary::Quarantined => Value::Str("quarantined".to_string()),
+            Boundary::Failed => Value::Str("failed".to_string()),
+        }
+    }
+}
+
+impl Deserialize for Boundary {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        match v {
+            Value::Str(s) => match s.as_str() {
+                "received" => Ok(Boundary::Received),
+                "recovered" => Ok(Boundary::Recovered),
+                "quarantined" => Ok(Boundary::Quarantined),
+                "failed" => Ok(Boundary::Failed),
+                other => Err(DeError::new(format!("unknown Boundary variant {other:?}"))),
+            },
+            other => {
+                let n = other.field("Boundary", "unlearned")?;
+                Ok(Boundary::Unlearned(Deserialize::from_value(n)?))
+            }
+        }
+    }
+}
+
+/// One process death. Both kinds become one `FaultFs` kill: a
+/// storage-op death directly, a boundary death at the op the harness
+/// locates right after that boundary in the lifetime's op log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrashPoint {
+    /// Die at the 0-based `op`-th `Vfs` operation of the lifetime.
+    VfsOp(u64),
+    /// Die right after `boundary` of planned service unit `unit` is
+    /// durable.
+    Boundary {
+        /// Index into the service plan's unit list.
+        unit: usize,
+        /// The journal boundary to die at.
+        boundary: Boundary,
+    },
+}
+
+impl Serialize for CrashPoint {
+    fn to_value(&self) -> Value {
+        match *self {
+            CrashPoint::VfsOp(op) => {
+                Value::Map(vec![("vfs_op".to_string(), Serialize::to_value(&op))])
+            }
+            CrashPoint::Boundary { unit, boundary } => Value::Map(vec![
+                ("unit".to_string(), Serialize::to_value(&unit)),
+                ("boundary".to_string(), Serialize::to_value(&boundary)),
+            ]),
+        }
+    }
+}
+
+impl Deserialize for CrashPoint {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        if let Some(op) = v.get("vfs_op") {
+            return Ok(CrashPoint::VfsOp(Deserialize::from_value(op)?));
+        }
+        if v.get("unit").is_some() {
+            return Ok(CrashPoint::Boundary {
+                unit: Deserialize::from_value(v.field("CrashPoint", "unit")?)?,
+                boundary: Deserialize::from_value(v.field("CrashPoint", "boundary")?)?,
+            });
+        }
+        Err(DeError::new(
+            "expected object with `vfs_op` or `unit`+`boundary` for CrashPoint",
+        ))
+    }
+}
 
 /// The workload every run of a schedule executes — the environment and
 /// service mix shared by the reference and faulted runs, so that the
@@ -367,12 +466,12 @@ impl ChaosSchedule {
 /// trio plus a mid-batch kill: the isolation-only boundaries fire only
 /// under specific degraded mixes, and a boundary that never fires is
 /// harmless (the run just completes).
-fn boundary_from(draw: u64) -> qd_core::BatchPreempt {
+fn boundary_from(draw: u64) -> Boundary {
     match draw {
-        0 => qd_core::BatchPreempt::Received,
-        1 => qd_core::BatchPreempt::Unlearned(1),
-        2 => qd_core::BatchPreempt::Unlearned(2),
-        _ => qd_core::BatchPreempt::Recovered,
+        0 => Boundary::Received,
+        1 => Boundary::Unlearned(1),
+        2 => Boundary::Unlearned(2),
+        _ => Boundary::Recovered,
     }
 }
 
@@ -400,7 +499,6 @@ fn mix_stream(seed: u64, lane: u64) -> impl FnMut(u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qd_core::BatchPreempt;
 
     #[test]
     fn generated_schedules_validate_and_round_trip() {
@@ -439,7 +537,7 @@ mod tests {
                 attempt: 0,
                 spec: FaultSpec::Crash(CrashPoint::Boundary {
                     unit: 0,
-                    boundary: BatchPreempt::Received,
+                    boundary: Boundary::Received,
                 }),
             },
         ];

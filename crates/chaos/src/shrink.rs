@@ -11,8 +11,7 @@
 
 use crate::invariant::Violation;
 use crate::scenario::{ChaosError, Harness};
-use crate::schedule::{ChaosSchedule, FaultSpec, StorageFault};
-use qd_core::CrashPoint;
+use crate::schedule::{ChaosSchedule, CrashPoint, FaultSpec, StorageFault};
 use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A minimal reproducer: the shrunk schedule plus the violation it

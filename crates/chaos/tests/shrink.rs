@@ -3,8 +3,9 @@
 //! committed `chaos-repro.json` fixture replays to a byte-for-byte
 //! identical violation report.
 
-use qd_chaos::{shrink, ChaosSchedule, FaultSpec, Harness, InjectedFault, Repro, Workload};
-use qd_core::CrashPoint;
+use qd_chaos::{
+    shrink, ChaosSchedule, CrashPoint, FaultSpec, Harness, InjectedFault, Repro, Workload,
+};
 
 /// A schedule that cannot complete: every allowed lifetime (initial
 /// deployment plus the single resume) is killed at an early syscall,

@@ -450,18 +450,9 @@ fn serve(args: &Args, mode: ServeMode) -> Result<String, CliError> {
     let report = match mode {
         ServeMode::Unlearn => {
             let outcome = if let Some(journal) = &mut journal {
-                qd.serve_batch_journaled(
-                    &mut fed,
-                    journal,
-                    &[request],
-                    policy.as_ref(),
-                    &mut rng,
-                    None,
-                )
-                .map_err(CliError::from)?
-                .into_complete()
-                .expect("no preemption configured")
-                .into()
+                qd.serve_batch_journaled(&mut fed, journal, &[request], policy.as_ref(), &mut rng)
+                    .map_err(CliError::from)?
+                    .into()
             } else if let Some(policy) = &policy {
                 qd.unlearn_guarded(&mut fed, request, policy, &mut rng)
                     .map_err(|e| CliError::Usage(e.to_string()))?
@@ -586,15 +577,14 @@ fn service(args: &Args) -> Result<String, CliError> {
             .unwrap_or_default()
     };
 
-    let run = qd_serve::run_service_isolated(
+    let run = qd_serve::run_service(
         &mut qd,
         &mut fed,
         &mut journal,
         &cfg,
         policy.as_ref(),
-        &iso,
         &mut rng,
-        None,
+        Some(&iso),
     )
     .map_err(CliError::from)?;
     Checkpoint::capture(fed.global(), &qd).save(&out)?;

@@ -27,7 +27,7 @@
 //! corruption is caught by a CRC32 per commit and surfaced as a typed
 //! [`JournalError::CorruptRecord`] instead of a JSON parse failure.
 
-use crate::vfs::{self, StdFs, StorageError, Vfs};
+use crate::vfs::{self, StdFs, StorageError, Vfs, VfsOp};
 use crate::{Checkpoint, QuickDrop};
 use qd_fed::{Federation, PhaseStats};
 use qd_nn::relative_drift;
@@ -38,6 +38,7 @@ use qd_unlearn::{
     UnlearnError, UnlearnRequest,
 };
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -80,6 +81,14 @@ pub fn segment_path(journal: &Path, index: u32) -> PathBuf {
         .map_or_else(|| std::ffi::OsString::from("journal"), |n| n.to_os_string());
     name.push(format!(".seg-{index:06}"));
     journal.with_file_name(name)
+}
+
+/// The index of the segment file `path` names for the journal at
+/// `journal`, if it names one (`<name>.seg-NNNNNN`).
+fn segment_index(journal: &Path, path: &Path) -> Option<u32> {
+    let base = journal.file_name()?.to_str()?;
+    let name = path.file_name()?.to_str()?;
+    name.strip_prefix(base)?.strip_prefix(".seg-")?.parse().ok()
 }
 
 /// Where a journaled request stands. States are strictly ordered; a
@@ -526,19 +535,9 @@ impl RequestJournal {
     /// The existing `<name>.seg-NNNNNN` files for the journal at
     /// `path`, sorted by index.
     fn segment_files(vfs: &dyn Vfs, path: &Path) -> Result<Vec<(u32, PathBuf)>, JournalError> {
-        let Some(base) = path.file_name().and_then(|n| n.to_str()) else {
-            return Ok(Vec::new());
-        };
-        let prefix = format!("{base}.seg-");
         let mut out = Vec::new();
         for entry in vfs.list(&vfs::dir_of(path)).map_err(io_err)? {
-            let Some(name) = entry.file_name().and_then(|n| n.to_str()) else {
-                continue;
-            };
-            let Some(index) = name.strip_prefix(&prefix) else {
-                continue;
-            };
-            if let Ok(index) = index.parse::<u32>() {
+            if let Some(index) = segment_index(path, &entry) {
                 out.push((index, entry));
             }
         }
@@ -610,6 +609,20 @@ impl RequestJournal {
         is_last: bool,
         records: &mut Vec<JournalRecord>,
     ) -> Result<SegmentScan, JournalError> {
+        Self::walk_frames(seg, bytes, is_last, |offset, body| {
+            Self::parse_commit_body(seg, offset, body, records)
+        })
+    }
+
+    /// Walks one segment's commit frames, handing each CRC-verified
+    /// body and its offset to `on_frame`; returns as
+    /// [`RequestJournal::parse_segment`].
+    fn walk_frames(
+        seg: &Path,
+        bytes: &[u8],
+        is_last: bool,
+        mut on_frame: impl FnMut(usize, &[u8]) -> Result<(), JournalError>,
+    ) -> Result<SegmentScan, JournalError> {
         let corrupt = |offset: usize, detail: String| JournalError::CorruptRecord {
             path: seg.to_path_buf(),
             offset,
@@ -660,7 +673,7 @@ impl RequestJournal {
                     format!("CRC mismatch: stored {crc:#010x}, computed {computed:#010x}"),
                 ));
             }
-            Self::parse_commit_body(seg, offset, body, records)?;
+            on_frame(offset, body)?;
             offset += 8 + len;
         }
         Ok(SegmentScan {
@@ -885,6 +898,124 @@ impl RequestJournal {
         Ok(())
     }
 
+    /// Opens a new unit: appends the atomic RECEIVED set of `requests`
+    /// — fresh sequence numbers in request order under one fresh
+    /// [`BatchId`], every record carrying the pre-unit `rng` and
+    /// `global` state — as one commit frame. The only writer of
+    /// RECEIVED sets, shared by [`QuickDrop::serve_batch_journaled`]
+    /// and the serve layer's failure-isolation executor.
+    ///
+    /// Returns the batch id and the members' sequence numbers.
+    ///
+    /// # Errors
+    ///
+    /// As [`RequestJournal::append`].
+    pub fn append_received(
+        &mut self,
+        requests: &[UnlearnRequest],
+        rng: &RngState,
+        global: &[Tensor],
+    ) -> std::io::Result<(BatchId, Vec<u64>)> {
+        let batch = self.next_batch_id();
+        let base = self.next_seq();
+        let seqs: Vec<u64> = (base..).take(requests.len()).collect();
+        let received = seqs
+            .iter()
+            .zip(requests)
+            .map(|(&seq, &request)| JournalRecord {
+                seq,
+                request,
+                state: RequestState::Received,
+                rng: rng.clone(),
+                global: global.to_vec(),
+                guard: None,
+                batch: Some(batch),
+                reason: None,
+            })
+            .collect();
+        self.append_all(received)?;
+        Ok((batch, seqs))
+    }
+
+    /// The commit frame that is boundary `state` of unit `batch`, as
+    /// the range of record indices it holds: the frame of the unit's
+    /// `min(k, n)`-th record in `state` (1-based, of its n). A
+    /// RECEIVED, RECOVERED, QUARANTINED or FAILED set is one frame, so
+    /// `k = 1` names it; each UNLEARNED record is a frame of its own,
+    /// so `k` picks the member, and a `k` past the unit's size its
+    /// last one. `None` when the unit wrote no such record or `k` is 0.
+    pub fn boundary_frame(
+        &self,
+        batch: BatchId,
+        state: RequestState,
+        k: usize,
+    ) -> Option<Range<usize>> {
+        let matching: Vec<usize> = self
+            .records
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| r.batch == Some(batch) && r.state == state)
+            .map(|(i, _)| i)
+            .collect();
+        let index = *matching.get(k.min(matching.len()).checked_sub(1)?)?;
+        let ends = self.frame_ends()?;
+        let frame = ends.iter().position(|&end| end > index)?;
+        let start = frame.checked_sub(1).map_or(0, |prev| ends[prev]);
+        Some(start..ends[frame])
+    }
+
+    /// Locates a crash right after record `index` became durable, in
+    /// `log`: the [`crate::FaultFs::op_log`] of the fault-free run
+    /// that wrote this journal's newest frames. Returns the index of
+    /// the first operation after the fsync that committed the frame
+    /// holding the record, so [`crate::FaultFs::kill_at`] there, on a
+    /// replay of that run, leaves exactly the frames up to and
+    /// including it durable. The index equals the log's length when
+    /// no operation followed the fsync; the harness then crashes after
+    /// the run returns instead.
+    ///
+    /// Each segment fsync in `log` commits one frame (a legacy
+    /// migration does not qualify), so they are matched with this
+    /// journal's last frames. `None` when the record does not exist or
+    /// its frame was committed before `log` began.
+    pub fn kill_after(&self, log: &[(VfsOp, PathBuf)], index: usize) -> Option<u64> {
+        let ends = self.frame_ends()?;
+        let frame = ends.iter().position(|&end| end > index)?;
+        let fsyncs: Vec<usize> = log
+            .iter()
+            .enumerate()
+            .filter(|(_, (op, path))| {
+                *op == VfsOp::Fsync
+                    && segment_index(&self.path, path)
+                        .is_some_and(|i| segment_path(&self.path, i) == *path)
+            })
+            .map(|(at, _)| at)
+            .collect();
+        let first = ends.len().checked_sub(fsyncs.len())?;
+        let fsync = fsyncs.get(frame.checked_sub(first)?)?;
+        Some(*fsync as u64 + 1)
+    }
+
+    /// The record count at the end of each commit frame, oldest first,
+    /// read back from the segment files (the locators above are all
+    /// that need frame bounds, so the journal does not keep them).
+    fn frame_ends(&self) -> Option<Vec<usize>> {
+        let mut ends = Vec::new();
+        let mut count = 0usize;
+        for (_, seg) in Self::segment_files(&*self.vfs, &self.path).ok()? {
+            let bytes = self.vfs.read(&seg).ok()?;
+            // Each body leads with its record count (checked when the
+            // journal was opened), so no record needs decoding here.
+            Self::walk_frames(&seg, &bytes, true, |_, body| {
+                count += read_u32(body, 0).unwrap_or(0) as usize;
+                ends.push(count);
+                Ok(())
+            })
+            .ok()?;
+        }
+        Some(ends)
+    }
+
     /// Lands one encoded commit frame on the tail segment, rotating
     /// segments at the size threshold and writing the format marker
     /// ahead of the very first frame.
@@ -989,91 +1120,6 @@ impl From<JournalError> for ServeError {
     }
 }
 
-/// A durable boundary inside a journaled unit at which serving can be
-/// preempted — the deterministic stand-in for a crash at exactly that
-/// point, used by the kill-and-resume tests and the chaos harnesses.
-/// A lone request is a unit of one, so every boundary applies to it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchPreempt {
-    // (serde impls are hand-written below: the vendored derive only
-    // handles fieldless enums, and `Unlearned` carries its count.)
-    /// Right after the atomic RECEIVED set is durable, before any
-    /// model change.
-    Received,
-    /// Right after `min(k, n)` of the unit's `n` active members (a
-    /// 1-based count, in journal order) have durable UNLEARNED records:
-    /// a count past the unit's size fires after its last member, so
-    /// `Unlearned(2)` still kills a unit of one.
-    Unlearned(usize),
-    /// Right after the atomic RECOVERED set is durable, before
-    /// returning.
-    Recovered,
-    /// Right after a unit's first atomic QUARANTINED set is durable —
-    /// the dead-letter boundary the failure-isolation executor adds.
-    Quarantined,
-    /// Right after a unit's atomic FAILED (breaker-shed) set is
-    /// durable.
-    Failed,
-}
-
-impl Serialize for BatchPreempt {
-    fn to_value(&self) -> serde::Value {
-        match *self {
-            BatchPreempt::Received => serde::Value::Str("received".to_string()),
-            BatchPreempt::Unlearned(n) => {
-                serde::Value::Map(vec![("unlearned".to_string(), Serialize::to_value(&n))])
-            }
-            BatchPreempt::Recovered => serde::Value::Str("recovered".to_string()),
-            BatchPreempt::Quarantined => serde::Value::Str("quarantined".to_string()),
-            BatchPreempt::Failed => serde::Value::Str("failed".to_string()),
-        }
-    }
-}
-
-impl Deserialize for BatchPreempt {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        match v {
-            serde::Value::Str(s) => match s.as_str() {
-                "received" => Ok(BatchPreempt::Received),
-                "recovered" => Ok(BatchPreempt::Recovered),
-                "quarantined" => Ok(BatchPreempt::Quarantined),
-                "failed" => Ok(BatchPreempt::Failed),
-                other => Err(serde::DeError::new(format!(
-                    "unknown BatchPreempt variant {other:?}"
-                ))),
-            },
-            other => {
-                let n = other.field("BatchPreempt", "unlearned")?;
-                Ok(BatchPreempt::Unlearned(Deserialize::from_value(n)?))
-            }
-        }
-    }
-}
-
-/// How a journaled batch serve call ended.
-#[derive(Debug)]
-pub enum BatchRun {
-    /// Every member was fully served (boxed to keep the enum small).
-    Complete(Box<BatchOutcome>),
-    /// Serving stopped right after `boundary` became durable — the
-    /// deterministic stand-in for a crash there. Continue with
-    /// [`QuickDrop::resume_requests`].
-    Preempted {
-        /// The last boundary made durable before stopping.
-        boundary: BatchPreempt,
-    },
-}
-
-impl BatchRun {
-    /// The completed outcome, or `None` if the run was preempted.
-    pub fn into_complete(self) -> Option<BatchOutcome> {
-        match self {
-            BatchRun::Complete(outcome) => Some(*outcome),
-            BatchRun::Preempted { .. } => None,
-        }
-    }
-}
-
 /// What a completed coalesced batch cost and produced.
 #[derive(Debug, Clone)]
 pub struct BatchOutcome {
@@ -1108,25 +1154,10 @@ impl From<BatchOutcome> for MethodOutcome {
     }
 }
 
-/// How a [`QuickDrop::resume_requests_until`] call ended.
-#[derive(Debug)]
-pub enum ResumeRun {
-    /// The journal tail was finished (or nothing needed finishing);
-    /// carries the outcome of the unit finished during resume, if any
-    /// (boxed to keep the enum small).
-    Complete(Option<Box<MethodOutcome>>),
-    /// Finishing stopped right after `boundary` became durable — the
-    /// deterministic crash stand-in, as in [`BatchRun::Preempted`].
-    Preempted {
-        /// The last boundary made durable before stopping.
-        boundary: BatchPreempt,
-    },
-}
-
 /// Called after each accepted member of a unit with the member's index
-/// and its boundary state; returning `true` stops the unit there.
+/// and its boundary state.
 type AfterMember<'a> =
-    dyn FnMut(usize, &Federation, &Rng, &GuardStats) -> Result<bool, ServeError> + 'a;
+    dyn FnMut(usize, &Federation, &Rng, &GuardStats) -> Result<(), ServeError> + 'a;
 
 impl QuickDrop {
     /// Serves a coalesced batch of compatible requests through the
@@ -1145,8 +1176,7 @@ impl QuickDrop {
     /// canonicalization guarantees both). A guard `policy` gates each
     /// member's ascent against the state just before that member (the
     /// same drift a sequential run would measure) and the shared
-    /// recovery against the pre-batch reference. `preempt_at` stops
-    /// serving right after that boundary's records are durable.
+    /// recovery against the pre-batch reference.
     ///
     /// On divergence — any member exhausting its ascent retries, or the
     /// recovered model failing the probe — the **whole batch** rolls
@@ -1170,8 +1200,7 @@ impl QuickDrop {
         requests: &[UnlearnRequest],
         policy: Option<&GuardPolicy>,
         rng: &mut Rng,
-        preempt_at: Option<BatchPreempt>,
-    ) -> Result<BatchRun, ServeError> {
+    ) -> Result<BatchOutcome, ServeError> {
         if let Some(policy) = policy {
             if let Err(msg) = policy.validate() {
                 // qd-lint: allow(panic-safety) -- policy validation failure
@@ -1186,35 +1215,11 @@ impl QuickDrop {
                 "cannot serve an empty batch",
             )));
         }
-        let batch = journal.next_batch_id();
-        let base = journal.next_seq();
         let batch_rng = rng.state();
         let batch_reference = fed.global().to_vec();
-        let received: Vec<JournalRecord> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, &request)| JournalRecord {
-                seq: base + i as u64,
-                request,
-                state: RequestState::Received,
-                rng: batch_rng.clone(),
-                global: batch_reference.clone(),
-                guard: None,
-                batch: Some(batch),
-                reason: None,
-            })
-            .collect();
-        journal.append_all(received)?;
-        if preempt_at == Some(BatchPreempt::Received) {
-            return Ok(BatchRun::Preempted {
-                boundary: BatchPreempt::Received,
-            });
-        }
-        let members: Vec<(u64, UnlearnRequest)> = requests
-            .iter()
-            .enumerate()
-            .map(|(i, &r)| (base + i as u64, r))
-            .collect();
+        let (batch, seqs) = journal.append_received(requests, &batch_rng, &batch_reference)?;
+        let members: Vec<(u64, UnlearnRequest)> =
+            seqs.into_iter().zip(requests.iter().copied()).collect();
         self.finish_batch(
             fed,
             journal,
@@ -1226,7 +1231,6 @@ impl QuickDrop {
             GuardStats::default(),
             policy,
             rng,
-            preempt_at,
         )
     }
 
@@ -1234,7 +1238,7 @@ impl QuickDrop {
     /// [`QuickDrop::guarded_unit`], journaling an UNLEARNED record per
     /// member and then the atomic RECOVERED set, every record tagged
     /// `batch`. Shared by [`QuickDrop::serve_batch_journaled`]
-    /// (`done == 0`) and [`QuickDrop::resume_requests_until`] (`done` =
+    /// (`done == 0`) and [`QuickDrop::resume_requests`] (`done` =
     /// members whose UNLEARNED records survived the crash).
     #[allow(clippy::too_many_arguments)]
     fn finish_batch(
@@ -1249,14 +1253,7 @@ impl QuickDrop {
         mut stats: GuardStats,
         policy: Option<&GuardPolicy>,
         rng: &mut Rng,
-        preempt_at: Option<BatchPreempt>,
-    ) -> Result<BatchRun, ServeError> {
-        // The one place `Unlearned(k)` is resolved against the unit:
-        // it fires after member min(k, n).
-        let stop_after = match preempt_at {
-            Some(BatchPreempt::Unlearned(k)) => k.min(members.len()),
-            _ => 0,
-        };
+    ) -> Result<BatchOutcome, ServeError> {
         let requests: Vec<UnlearnRequest> = members.iter().map(|&(_, r)| r).collect();
         let outcome = self.guarded_unit(
             fed,
@@ -1268,27 +1265,21 @@ impl QuickDrop {
             &mut stats,
             rng,
             &mut |index, fed, rng, stats| {
-                let Some(&(seq, request)) = members.get(index) else {
-                    return Ok(false);
-                };
-                journal.append(JournalRecord {
-                    seq,
-                    request,
-                    state: RequestState::Unlearned,
-                    rng: rng.state(),
-                    global: fed.global().to_vec(),
-                    guard: policy.map(|_| *stats),
-                    batch,
-                    reason: None,
-                })?;
-                Ok(index + 1 == stop_after)
+                if let Some(&(seq, request)) = members.get(index) {
+                    journal.append(JournalRecord {
+                        seq,
+                        request,
+                        state: RequestState::Unlearned,
+                        rng: rng.state(),
+                        global: fed.global().to_vec(),
+                        guard: policy.map(|_| *stats),
+                        batch,
+                        reason: None,
+                    })?;
+                }
+                Ok(())
             },
         )?;
-        let Some(outcome) = outcome else {
-            return Ok(BatchRun::Preempted {
-                boundary: BatchPreempt::Unlearned(stop_after),
-            });
-        };
         let recovered: Vec<JournalRecord> = members
             .iter()
             .map(|&(seq, request)| JournalRecord {
@@ -1303,12 +1294,7 @@ impl QuickDrop {
             })
             .collect();
         journal.append_all(recovered)?;
-        if preempt_at == Some(BatchPreempt::Recovered) {
-            return Ok(BatchRun::Preempted {
-                boundary: BatchPreempt::Recovered,
-            });
-        }
-        Ok(BatchRun::Complete(Box::new(outcome)))
+        Ok(outcome)
     }
 
     /// The guarded body of one unit, the only copy of it: journaled
@@ -1318,8 +1304,7 @@ impl QuickDrop {
     /// For each of `members[done..]`: a guarded ascent (drift and
     /// non-finite gate against the state just before that member, with
     /// rollback and halved-LR retries), the member's forgotten-state
-    /// mark, then `after_member` — returning `Ok(None)` if it asks to
-    /// stop. Then one shared recovery, gated with the retain probe
+    /// mark, then `after_member`. Then one shared recovery, gated with the retain probe
     /// against `unit_reference`. Without a `policy` nothing is gated.
     ///
     /// On divergence the whole unit rolls back — marks cleared, model
@@ -1339,7 +1324,7 @@ impl QuickDrop {
         stats: &mut GuardStats,
         rng: &mut Rng,
         after_member: &mut AfterMember<'_>,
-    ) -> Result<Option<BatchOutcome>, ServeError> {
+    ) -> Result<BatchOutcome, ServeError> {
         let mut unlearn = vec![PhaseStats::default(); done];
         for (index, &request) in members.iter().enumerate().skip(done) {
             let member_reference = fed.global().to_vec();
@@ -1396,9 +1381,7 @@ impl QuickDrop {
             };
             self.mark_unlearned(request);
             unlearn.push(phase);
-            if after_member(index, fed, rng, stats)? {
-                return Ok(None);
-            }
+            after_member(index, fed, rng, stats)?;
         }
         // One shared recovery pass amortized over the whole unit.
         let post_unlearn_params = fed.global().to_vec();
@@ -1429,12 +1412,12 @@ impl QuickDrop {
                 }
             }
         }
-        Ok(Some(BatchOutcome {
+        Ok(BatchOutcome {
             unlearn,
             recovery,
             post_unlearn_params,
             guard: policy.map(|_| *stats),
-        }))
+        })
     }
 
     /// Restores previously erased knowledge through the journal: relearns
@@ -1521,6 +1504,19 @@ impl QuickDrop {
     /// finished as a unit of one, and the records written while
     /// finishing it stay unbatched.
     ///
+    /// The in-flight unit's membership and progress both come from the
+    /// journal: the RECEIVED set (atomic, so never half-written) lists
+    /// the members, QUARANTINED and FAILED records subtract the members
+    /// isolated or shed out of it, and the UNLEARNED records say how
+    /// many active ascents were accepted before the crash. A unit whose
+    /// every member is quarantined or shed has nothing left to do.
+    ///
+    /// This is also the failure-isolation executor's *only* execution
+    /// path: it appends a unit's RECEIVED set itself and then drives
+    /// every attempt through this call, so a fresh unit and a
+    /// crash-resumed one execute identical code from identical
+    /// journal-derived state.
+    ///
     /// Returns the outcome of the unit finished during resume, or
     /// `None` when the journal was empty or already fully served.
     ///
@@ -1541,47 +1537,6 @@ impl QuickDrop {
         policy: Option<&GuardPolicy>,
         rng: &mut Rng,
     ) -> Result<Option<MethodOutcome>, ServeError> {
-        match self.resume_requests_until(fed, journal, policy, rng, None)? {
-            ResumeRun::Complete(outcome) => Ok(outcome.map(|o| *o)),
-            // Unreachable with `preempt_at: None`; nothing is left
-            // undone if it ever were.
-            ResumeRun::Preempted { .. } => Ok(None),
-        }
-    }
-
-    /// [`QuickDrop::resume_requests`] with a durable-boundary preempt:
-    /// finishing stops right after `preempt_at` becomes durable, the
-    /// deterministic crash stand-in the failure-isolation executor and
-    /// the chaos harnesses drive. `None` finishes everything.
-    ///
-    /// This is also the failure-isolation executor's *only* execution
-    /// path: it appends a unit's RECEIVED set itself and then drives
-    /// every attempt through this call, so a fresh unit and a
-    /// crash-resumed one execute identical code from identical
-    /// journal-derived state.
-    ///
-    /// The in-flight unit's membership and progress both come from the
-    /// journal: the RECEIVED set (atomic, so never half-written) lists
-    /// the members, QUARANTINED and FAILED records subtract the members
-    /// isolated or shed out of it, and the UNLEARNED records say how
-    /// many active ascents were accepted before the crash. A unit whose
-    /// every member is quarantined or shed has nothing left to do.
-    ///
-    /// # Errors
-    ///
-    /// As [`QuickDrop::resume_requests`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `policy` fails [`GuardPolicy::validate`].
-    pub fn resume_requests_until(
-        &mut self,
-        fed: &mut Federation,
-        journal: &mut RequestJournal,
-        policy: Option<&GuardPolicy>,
-        rng: &mut Rng,
-        preempt_at: Option<BatchPreempt>,
-    ) -> Result<ResumeRun, ServeError> {
         if let Some(policy) = policy {
             if let Err(msg) = policy.validate() {
                 // qd-lint: allow(panic-safety) -- policy validation failure
@@ -1592,13 +1547,13 @@ impl QuickDrop {
         }
         self.restore_tail(fed, journal, rng);
         let Some(last) = journal.last().cloned() else {
-            return Ok(ResumeRun::Complete(None));
+            return Ok(None);
         };
         if matches!(
             last.state,
             RequestState::Recovered | RequestState::Relearned
         ) {
-            return Ok(ResumeRun::Complete(None));
+            return Ok(None);
         }
         // The in-flight unit's records: its batch's, or for an unbatched
         // tail, the last request's alone.
@@ -1619,7 +1574,7 @@ impl QuickDrop {
             .map(|r| (r.seq, r.request))
             .collect();
         if members.is_empty() {
-            return Ok(ResumeRun::Complete(None));
+            return Ok(None);
         }
         let done = journal
             .records()
@@ -1643,7 +1598,7 @@ impl QuickDrop {
                     format!("journal holds {unit} records without a RECEIVED set"),
                 )
             })?;
-        let run = self.finish_batch(
+        let outcome = self.finish_batch(
             fed,
             journal,
             unit,
@@ -1654,12 +1609,8 @@ impl QuickDrop {
             last.guard.unwrap_or_default(),
             policy,
             rng,
-            preempt_at,
         )?;
-        Ok(match run {
-            BatchRun::Complete(outcome) => ResumeRun::Complete(Some(Box::new((*outcome).into()))),
-            BatchRun::Preempted { boundary } => ResumeRun::Preempted { boundary },
-        })
+        Ok(Some(outcome.into()))
     }
 
     /// Side-effect-free trial: would serving `requests` as one
@@ -1711,7 +1662,7 @@ impl QuickDrop {
                 Some(policy),
                 &mut GuardStats::default(),
                 &mut rng,
-                &mut |_, _, _, _| Ok(false),
+                &mut |_, _, _, _| Ok(()),
             )
             .is_ok();
         fed.set_global(reference);
@@ -1722,7 +1673,7 @@ impl QuickDrop {
     /// Restores live state (forgotten-state marks, global model, RNG
     /// stream) from the journal tail **without finishing anything** —
     /// the failure-isolation executor's resume entry point, and the
-    /// first step of [`QuickDrop::resume_requests_until`]. Unlike
+    /// first step of [`QuickDrop::resume_requests`]. Unlike
     /// [`QuickDrop::resume_requests`], an in-flight unit at the tail is
     /// left exactly where the journal says it is, because the executor
     /// must re-derive the winning retry-ladder rung (by re-running the
@@ -1879,6 +1830,144 @@ mod tests {
         let scan = RequestJournal::parse_segment(seg, &flipped, true, &mut Vec::new())
             .expect("tail-frame CRC failure repairs as torn");
         assert_eq!(scan.valid_len, first_commit);
+    }
+
+    #[test]
+    fn kill_after_locates_the_op_after_each_frames_fsync() {
+        use crate::vfs::FaultFs;
+        let rec = |seq| JournalRecord {
+            seq,
+            request: UnlearnRequest::Class(2),
+            state: RequestState::Received,
+            rng: Rng::seed_from(1).state(),
+            global: Vec::new(),
+            guard: None,
+            batch: None,
+            reason: None,
+        };
+        // Three frames: records 0-1 as one set, then 2, then 3.
+        let write = |fs: &Arc<FaultFs>| -> Result<RequestJournal, JournalError> {
+            let mut journal = RequestJournal::open_on(Arc::clone(fs) as Arc<dyn Vfs>, "j")?;
+            journal.append_all(vec![rec(0), rec(1)])?;
+            journal.append(rec(2))?;
+            journal.append(rec(3))?;
+            Ok(journal)
+        };
+        let fs = Arc::new(FaultFs::new());
+        let journal = write(&fs).expect("fault-free run");
+        let log = fs.op_log();
+
+        // Every record of a frame locates the op right after its fsync.
+        let first = journal.kill_after(&log, 0).expect("first frame");
+        assert_eq!(journal.kill_after(&log, 1), Some(first));
+        assert_eq!(log[first as usize - 1].0, VfsOp::Fsync);
+        // Nothing follows the last frame's fsync inside the run.
+        assert_eq!(journal.kill_after(&log, 3), Some(log.len() as u64));
+        assert_eq!(journal.kill_after(&log, 4), None, "no such record");
+        // A log that began after a frame was committed cannot locate it;
+        // later frames are located relative to that log's start.
+        let later = &log[first as usize..];
+        assert_eq!(journal.kill_after(later, 0), None);
+        assert_eq!(
+            journal.kill_after(later, 2).map(|op| op + first),
+            journal.kill_after(&log, 2)
+        );
+
+        // Replaying with a located kill leaves exactly the frames up to
+        // and including the record's frame durable.
+        for (record, durable) in [(0, 2), (1, 2), (2, 3)] {
+            let replay = Arc::new(FaultFs::new());
+            replay.kill_at(journal.kill_after(&log, record).expect("located"));
+            assert!(write(&replay).is_err(), "the kill fires");
+            replay.crash();
+            let reopened = RequestJournal::open_on(replay, "j").expect("reopens");
+            assert_eq!(reopened.records().len(), durable, "record {record}");
+        }
+    }
+
+    #[test]
+    fn located_kill_at_each_boundary_kind_ends_the_journal_in_its_frame() {
+        use crate::vfs::FaultFs;
+        use RequestState::{Failed, Quarantined, Received, Recovered, Unlearned};
+        let rec = |seq, batch, state| JournalRecord {
+            seq,
+            request: UnlearnRequest::Client(seq as usize),
+            state,
+            rng: Rng::seed_from(1).state(),
+            global: Vec::new(),
+            guard: None,
+            batch: Some(BatchId(batch)),
+            reason: None,
+        };
+        // The frames serving writes: unit 0 a batch of two that
+        // recovers, unit 1 a batch of three that sheds one member,
+        // quarantines one and recovers one, unit 2 a singleton.
+        let write = |fs: &Arc<FaultFs>| -> Result<RequestJournal, JournalError> {
+            let mut j = RequestJournal::open_on(Arc::clone(fs) as Arc<dyn Vfs>, "j")?;
+            let rng = Rng::seed_from(1).state();
+            let clients = |n: usize| (0..n).map(UnlearnRequest::Client).collect::<Vec<_>>();
+            j.append_received(&clients(2), &rng, &[])?;
+            j.append(rec(0, 0, Unlearned))?;
+            j.append(rec(1, 0, Unlearned))?;
+            j.append_all(vec![rec(0, 0, Recovered), rec(1, 0, Recovered)])?;
+            j.append_received(&clients(3), &rng, &[])?;
+            j.append_all(vec![rec(4, 1, Failed)])?;
+            j.append_all(vec![rec(3, 1, Quarantined)])?;
+            j.append(rec(2, 1, Unlearned))?;
+            j.append_all(vec![rec(2, 1, Recovered)])?;
+            j.append_received(&clients(1), &rng, &[])?;
+            j.append(rec(5, 2, Unlearned))?;
+            j.append_all(vec![rec(5, 2, Recovered)])?;
+            Ok(j)
+        };
+        let fs = Arc::new(FaultFs::new());
+        let journal = write(&fs).expect("fault-free run");
+        let log = fs.op_log();
+
+        for (unit, state, k, frame) in [
+            (0, Received, 1, 0..2),
+            (0, Unlearned, 1, 2..3),
+            (0, Unlearned, 2, 3..4),
+            (0, Recovered, 1, 4..6),
+            (1, Received, 1, 6..9),
+            (1, Failed, 1, 9..10),
+            (1, Quarantined, 1, 10..11),
+            (1, Unlearned, 1, 11..12),
+            // Past the singleton's size: its one UNLEARNED record.
+            (2, Unlearned, 2, 14..15),
+            // The last frame: no op follows its fsync inside the run.
+            (2, Recovered, 1, 15..16),
+        ] {
+            let name = format!("unit {unit} {state} #{k}");
+            assert_eq!(
+                journal.boundary_frame(BatchId(unit), state, k),
+                Some(frame.clone()),
+                "{name}"
+            );
+            let op = journal.kill_after(&log, frame.start).expect("located");
+            let replay = Arc::new(FaultFs::new());
+            replay.kill_at(op);
+            let killed = write(&replay);
+            assert!(
+                killed.is_err() || op == log.len() as u64,
+                "{name}: the kill fires"
+            );
+            replay.crash();
+            let reopened = RequestJournal::open_on(replay, "j").expect("reopens");
+            let key = |r: &JournalRecord| (r.seq, r.state, r.batch);
+            assert_eq!(
+                reopened.records().iter().map(key).collect::<Vec<_>>(),
+                journal.records()[..frame.end]
+                    .iter()
+                    .map(key)
+                    .collect::<Vec<_>>(),
+                "{name}: the journal ends in exactly that frame"
+            );
+        }
+        // Boundaries a unit never wrote locate nothing.
+        assert_eq!(journal.boundary_frame(BatchId(0), Quarantined, 1), None);
+        assert_eq!(journal.boundary_frame(BatchId(0), Unlearned, 0), None);
+        assert_eq!(journal.boundary_frame(BatchId(3), Received, 1), None);
     }
 
     #[test]

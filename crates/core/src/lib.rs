@@ -67,10 +67,9 @@ pub mod vfs;
 pub use checkpoint::{Checkpoint, CheckpointError, MidPhase, CHECKPOINT_VERSION};
 pub use config::QuickDropConfig;
 pub use journal::{
-    segment_path, BatchId, BatchOutcome, BatchPreempt, BatchRun, FailReason, JournalError,
-    JournalRecord, RequestJournal, RequestState, ResumeRun, ServeError, TailRepair, JOURNAL_MAGIC,
-    JOURNAL_MIN_VERSION, JOURNAL_VERSION,
+    segment_path, BatchId, BatchOutcome, FailReason, JournalError, JournalRecord, RequestJournal,
+    RequestState, ServeError, TailRepair, JOURNAL_MAGIC, JOURNAL_MIN_VERSION, JOURNAL_VERSION,
 };
 pub use sample_level::{SampleLevelConfig, SampleLevelQuickDrop};
 pub use system::{CheckpointPolicy, QuickDrop, TrainReport, TrainRun};
-pub use vfs::{storage_cause, CrashPoint, Fault, FaultFs, StdFs, StorageError, Vfs, VfsOp};
+pub use vfs::{storage_cause, Fault, FaultFs, StdFs, StorageError, Vfs, VfsOp};

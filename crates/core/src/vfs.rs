@@ -22,6 +22,9 @@
 //! (dropping all un-fsynced bytes), resume, and assert the terminal
 //! state is bit-for-bit identical to the unfailed run — extending the
 //! kill-and-resume contract from state boundaries down to syscalls.
+//! A kill "right after a journal boundary" is one of these kills too:
+//! [`FaultFs::op_log`] records every operation, and the harness kills
+//! at the first op after the fsync that made the boundary durable.
 //!
 //! Every failure is a typed [`StorageError`] naming the operation and
 //! the path, so "disk full while appending to the journal" reaches the
@@ -402,69 +405,6 @@ pub enum Fault {
     ShortRead(usize),
 }
 
-/// One process death, expressed in the single vocabulary every fault
-/// layer routes through.
-///
-/// Before this type existed the workspace modeled "the process dies"
-/// twice: [`FaultFs::kill_at`] (die at the *k*-th storage syscall) and
-/// the serve crate's `ChaosKill` (die once a journal *boundary* of a
-/// planned unit is durable). A composed chaos schedule could therefore
-/// arm both for the same lifetime and mean two different deaths.
-/// `CrashPoint` unifies them: a schedule carries at most one per
-/// process lifetime, [`FaultFs::arm`] consumes the storage flavor, and
-/// the serving executor consumes the boundary flavor — precedence is
-/// documented in DESIGN.md §5k (storage kills fire first because the
-/// syscall happens before the boundary becomes durable).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrashPoint {
-    /// Die at the 0-based `op`-th [`Vfs`] operation ([`Fault::Kill`]
-    /// semantics: the op fails and every later op fails too).
-    VfsOp(u64),
-    /// Die right after `boundary` of planned service unit `unit` is
-    /// durable — the serve executor's semantic kill.
-    Boundary {
-        /// Index into the service plan's unit list.
-        unit: usize,
-        /// The journal boundary to die at.
-        boundary: crate::journal::BatchPreempt,
-    },
-}
-
-impl serde::Serialize for CrashPoint {
-    fn to_value(&self) -> serde::Value {
-        match *self {
-            CrashPoint::VfsOp(op) => serde::Value::Map(vec![(
-                "vfs_op".to_string(),
-                serde::Serialize::to_value(&op),
-            )]),
-            CrashPoint::Boundary { unit, boundary } => serde::Value::Map(vec![
-                ("unit".to_string(), serde::Serialize::to_value(&unit)),
-                (
-                    "boundary".to_string(),
-                    serde::Serialize::to_value(&boundary),
-                ),
-            ]),
-        }
-    }
-}
-
-impl serde::Deserialize for CrashPoint {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        if let Some(op) = v.get("vfs_op") {
-            return Ok(CrashPoint::VfsOp(serde::Deserialize::from_value(op)?));
-        }
-        if v.get("unit").is_some() {
-            return Ok(CrashPoint::Boundary {
-                unit: serde::Deserialize::from_value(v.field("CrashPoint", "unit")?)?,
-                boundary: serde::Deserialize::from_value(v.field("CrashPoint", "boundary")?)?,
-            });
-        }
-        Err(serde::DeError::new(
-            "expected object with `vfs_op` or `unit`+`boundary` for CrashPoint",
-        ))
-    }
-}
-
 #[derive(Debug, Clone, Default)]
 struct FileEntry {
     bytes: Vec<u8>,
@@ -476,7 +416,8 @@ struct FileEntry {
 #[derive(Debug, Default)]
 struct FaultState {
     files: BTreeMap<PathBuf, FileEntry>,
-    ops: u64,
+    /// Every counted operation, in order: entry `i` is op index `i`.
+    log: Vec<(VfsOp, PathBuf)>,
     appended_bytes: u64,
     schedule: BTreeMap<u64, Fault>,
     killed: bool,
@@ -516,25 +457,6 @@ impl FaultFs {
     /// Schedules a [`Fault::Kill`] at operation `op`.
     pub fn kill_at(&self, op: u64) {
         self.schedule_fault(op, Fault::Kill);
-    }
-
-    /// Arms a unified [`CrashPoint`] on this filesystem. Storage-level
-    /// points ([`CrashPoint::VfsOp`]) become a [`Fault::Kill`] at that
-    /// operation index and the call returns `true`; semantic points
-    /// ([`CrashPoint::Boundary`]) are the serving executor's to honor
-    /// (it translates them to its own preemption type) and leave the
-    /// schedule untouched, returning `false`. This is the single
-    /// entry point chaos harnesses route every kill through, so one
-    /// schedule cannot express two contradictory deaths for the same
-    /// process lifetime.
-    pub fn arm(&self, point: &CrashPoint) -> bool {
-        match *point {
-            CrashPoint::VfsOp(op) => {
-                self.kill_at(op);
-                true
-            }
-            CrashPoint::Boundary { .. } => false,
-        }
     }
 
     /// Number of scheduled faults that have not fired yet. Chaos
@@ -601,7 +523,15 @@ impl FaultFs {
 
     /// Operations executed so far (reads, writes, everything).
     pub fn op_count(&self) -> u64 {
-        self.lock().ops
+        self.lock().log.len() as u64
+    }
+
+    /// Every operation executed so far, in order, as `(op, path)`
+    /// (the source path, for a rename): entry `i` is operation index
+    /// `i` of [`FaultFs::kill_at`]. A boundary kill is located in the
+    /// log of a fault-free run (see `RequestJournal::kill_after`).
+    pub fn op_log(&self) -> Vec<(VfsOp, PathBuf)> {
+        self.lock().log.clone()
     }
 
     /// Total bytes handed to `write`/`append` so far — the I/O volume
@@ -621,8 +551,8 @@ impl FaultFs {
     }
 
     /// Replaces all file contents (marking everything durable) and
-    /// resets counters and faults — the matrix harness uses this to
-    /// restart each iteration from an identical disk image.
+    /// resets counters, the op log and faults — the matrix harness uses
+    /// this to restart each iteration from an identical disk image.
     pub fn reset_to(&self, files: BTreeMap<PathBuf, Vec<u8>>) {
         let mut guard = self.lock();
         guard.files = files
@@ -632,7 +562,7 @@ impl FaultFs {
                 (p, FileEntry { bytes, durable })
             })
             .collect();
-        guard.ops = 0;
+        guard.log.clear();
         guard.appended_bytes = 0;
         guard.schedule.clear();
         guard.killed = false;
@@ -684,7 +614,7 @@ impl FaultFs {
     }
 
     /// Charges one operation: fails if the process is already dead,
-    /// otherwise bumps the counter and takes any fault scheduled at it.
+    /// otherwise logs it and takes any fault scheduled at its index.
     fn begin(
         &self,
         guard: &mut FaultState,
@@ -694,8 +624,8 @@ impl FaultFs {
         if guard.killed {
             return Err(dead(op, path));
         }
-        let index = guard.ops;
-        guard.ops += 1;
+        let index = guard.log.len() as u64;
+        guard.log.push((op, path.to_path_buf()));
         Ok(guard.schedule.remove(&index))
     }
 }
@@ -946,6 +876,35 @@ mod tests {
         assert_eq!(fs.file(p).unwrap(), b"", "nothing was fsynced");
         fs.append(p, b"z").unwrap();
         assert_eq!(fs.file(p).unwrap(), b"z");
+    }
+
+    #[test]
+    fn op_log_indices_match_op_count_and_reset_clears_the_log() {
+        let fs = FaultFs::new();
+        let (a, b) = (Path::new("a.log"), Path::new("b.log"));
+        fs.append(a, b"x").unwrap();
+        fs.fsync(a).unwrap();
+        fs.rename(a, b).unwrap();
+        assert_eq!(
+            fs.op_log(),
+            vec![
+                (VfsOp::Append, a.to_path_buf()),
+                (VfsOp::Fsync, a.to_path_buf()),
+                (VfsOp::Rename, a.to_path_buf()),
+            ]
+        );
+        assert_eq!(fs.op_log().len() as u64, fs.op_count());
+        // Log index i is kill index i: the kill hits the op logged next.
+        fs.kill_at(fs.op_count());
+        assert!(fs.read(b).is_err());
+        assert_eq!(fs.op_log()[3], (VfsOp::Read, b.to_path_buf()));
+        // A dead process issues no more ops.
+        assert!(fs.read(b).is_err());
+        assert_eq!(fs.op_log().len() as u64, fs.op_count());
+        assert_eq!(fs.op_count(), 4);
+        fs.reset_to(fs.files());
+        assert!(fs.op_log().is_empty());
+        assert_eq!(fs.op_count(), 0);
     }
 
     #[test]

@@ -110,14 +110,14 @@ fn run_units(
             .any(|r| r.request == request && r.state == state)
     }
     if !done(journal, SINGLE, RequestState::Recovered) {
-        qd.serve_batch_journaled(fed, journal, &[SINGLE], Some(&policy()), rng, None)
+        qd.serve_batch_journaled(fed, journal, &[SINGLE], Some(&policy()), rng)
             .map_err(|e| e.to_string())?;
     }
     if !BATCH
         .iter()
         .all(|&r| done(journal, r, RequestState::Recovered))
     {
-        qd.serve_batch_journaled(fed, journal, &BATCH, Some(&policy()), rng, None)
+        qd.serve_batch_journaled(fed, journal, &BATCH, Some(&policy()), rng)
             .map_err(|e| e.to_string())?;
     }
     if !done(journal, SINGLE, RequestState::Relearned) {

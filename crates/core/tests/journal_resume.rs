@@ -4,10 +4,15 @@
 //! uninterrupted run bit-for-bit — final model bits, RNG stream, and the
 //! persisted `GuardStats` counters. A lone request is served as a batch
 //! of one; the unbatched tails older builds wrote still resume.
+//!
+//! Every run lives on an in-memory `FaultFs`. A kill "right after a
+//! boundary" is a storage kill at the first op after the fsync that
+//! made the boundary's frame durable, located in the uninterrupted
+//! run's op log.
 
 use qd_core::{
-    BatchPreempt, BatchRun, Checkpoint, JournalError, JournalRecord, QuickDrop, QuickDropConfig,
-    RequestJournal, RequestState,
+    Checkpoint, FaultFs, JournalError, JournalRecord, QuickDrop, QuickDropConfig, RequestJournal,
+    RequestState, Vfs, VfsOp,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{Federation, Phase};
@@ -72,42 +77,81 @@ fn assert_same_records(reference: &[JournalRecord], resumed: &[JournalRecord]) {
     }
 }
 
-struct Paths {
-    ckpt: PathBuf,
-    journal: PathBuf,
+fn ckpt_path() -> PathBuf {
+    PathBuf::from("deployment.json")
 }
 
-fn paths(name: &str) -> Paths {
-    let dir = std::env::temp_dir().join("qd_journal_resume_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let ckpt = dir.join(format!("{name}.json"));
-    let journal = RequestJournal::path_for_checkpoint(&ckpt);
-    std::fs::remove_file(&ckpt).ok();
-    std::fs::remove_file(&journal).ok();
-    Paths { ckpt, journal }
+fn open_journal(fs: &Arc<FaultFs>) -> RequestJournal {
+    let vfs: Arc<dyn Vfs> = Arc::clone(fs) as Arc<dyn Vfs>;
+    RequestJournal::open_on(vfs, RequestJournal::path_for_checkpoint(ckpt_path())).unwrap()
+}
+
+/// A fresh process on `fs`: train, save the deployment checkpoint, open
+/// the journal.
+fn deploy(fs: &Arc<FaultFs>) -> (QuickDrop, Federation, Rng, RequestJournal) {
+    let (mut fed, mut rng) = fresh_fed();
+    let (qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
+    Checkpoint::capture(fed.global(), &qd)
+        .save_on(fs.as_ref(), &ckpt_path())
+        .unwrap();
+    let journal = open_journal(fs);
+    (qd, fed, rng, journal)
+}
+
+/// A fault-free run: its final model, its journal, its filesystem and
+/// its op log.
+struct Reference {
+    global: Vec<Tensor>,
+    journal: RequestJournal,
+    fs: Arc<FaultFs>,
+    log: Vec<(VfsOp, PathBuf)>,
+}
+
+/// Runs `serve` on a fresh deployment killed right after `boundary`
+/// (the record whose frame must be the last one durable) and crashes
+/// the machine; asserts the reopened journal ends in exactly that
+/// frame — `len` records of `reference`.
+fn kill_after(
+    reference: &Reference,
+    boundary: usize,
+    len: usize,
+    serve: impl FnOnce(&mut QuickDrop, &mut Federation, &mut Rng, &mut RequestJournal),
+) -> Arc<FaultFs> {
+    let op = reference
+        .journal
+        .kill_after(&reference.log, boundary)
+        .expect("the boundary is in the reference log");
+    let fs = Arc::new(FaultFs::new());
+    let (mut qd, mut fed, mut rng, mut journal) = deploy(&fs);
+    fs.kill_at(op);
+    serve(&mut qd, &mut fed, &mut rng, &mut journal);
+    // Either the kill fired, or the boundary was the run's last op and
+    // the crash comes right after the call.
+    assert!(
+        fs.pending_faults() == 0 || fs.op_count() == op,
+        "the kill at op {op} must fire or follow the run"
+    );
+    fs.crash();
+    let killed = open_journal(&fs);
+    assert_same_records(&reference.journal.records()[..len], killed.records());
+    fs
 }
 
 /// The uninterrupted run: train, serve both requests journaled, relearn
-/// the first. Returns the final global parameters and the journal.
-fn uninterrupted(paths: &Paths) -> (Vec<Tensor>, RequestJournal) {
-    let (mut fed, mut rng) = fresh_fed();
-    let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
-    Checkpoint::capture(fed.global(), &qd)
-        .save(&paths.ckpt)
-        .unwrap();
-    let mut journal = RequestJournal::open(&paths.journal).unwrap();
+/// the first.
+fn uninterrupted() -> Reference {
+    let fs = Arc::new(FaultFs::new());
+    let (mut qd, mut fed, mut rng, mut journal) = deploy(&fs);
     for request in REQUESTS {
-        let run = qd
+        let outcome = qd
             .serve_batch_journaled(
                 &mut fed,
                 &mut journal,
                 &[request],
                 Some(&policy()),
                 &mut rng,
-                None,
             )
             .unwrap();
-        let outcome = run.into_complete().expect("no preemption configured");
         let stats = outcome.guard.expect("guarded serving attaches stats");
         assert_eq!(stats.steps, 1, "clean serving needs one attempt");
         assert_eq!(stats.rollbacks, 0);
@@ -122,57 +166,37 @@ fn uninterrupted(paths: &Paths) -> (Vec<Tensor>, RequestJournal) {
         &mut rng,
     )
     .unwrap();
-    (fed.global().to_vec(), journal)
+    Reference {
+        global: fed.global().to_vec(),
+        journal,
+        log: fs.op_log(),
+        fs,
+    }
 }
 
-/// Process A: train, checkpoint, serve the first request as a batch of
-/// one and die right after `boundary` is durable.
-fn serve_first_until(paths: &Paths, boundary: BatchPreempt) {
-    let (mut fed, mut rng) = fresh_fed();
-    let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
-    Checkpoint::capture(fed.global(), &qd)
-        .save(&paths.ckpt)
-        .unwrap();
-    let mut journal = RequestJournal::open(&paths.journal).unwrap();
-    let run = qd
-        .serve_batch_journaled(
-            &mut fed,
-            &mut journal,
-            &REQUESTS[..1],
-            Some(&policy()),
-            &mut rng,
-            Some(boundary),
-        )
-        .unwrap();
-    let BatchRun::Preempted { boundary: stopped } = run else {
-        panic!("serving must stop at {boundary:?}");
-    };
-    assert_eq!(stopped, boundary);
+/// Process A: serve the first request as a batch of one and die right
+/// after the frame of record `boundary` (the first `len` records).
+fn serve_first_until(reference: &Reference, boundary: usize, len: usize) -> Arc<FaultFs> {
+    kill_after(reference, boundary, len, |qd, fed, rng, journal| {
+        // The kill surfaces as an error, or not at all when nothing
+        // follows the boundary inside the call.
+        let _ = qd.serve_batch_journaled(fed, journal, &REQUESTS[..1], Some(&policy()), rng);
+    })
 }
 
-/// Kill at `boundary` while serving the first request, then resume in a
-/// "fresh process" and finish the stream identically.
-fn kill_and_resume(
-    boundary: BatchPreempt,
-    state: RequestState,
-    reference: &(Vec<Tensor>, RequestJournal),
-) {
-    let paths = paths(&format!("kill_{state}"));
-    serve_first_until(&paths, boundary);
-    assert_eq!(
-        RequestJournal::open(&paths.journal)
-            .unwrap()
-            .last()
-            .unwrap()
-            .state,
-        state
-    );
+/// Kill right after record `boundary` while serving the first request,
+/// then resume in a "fresh process" and finish the stream identically.
+fn kill_and_resume(boundary: usize, state: RequestState, reference: &Reference) {
+    let fs = serve_first_until(reference, boundary, boundary + 1);
+    assert_eq!(open_journal(&fs).last().unwrap().state, state);
 
     // Process B: everything rebuilt from the seed; model, RNG and request
     // progress all come from the checkpoint + journal.
     let (mut fed, mut rng) = fresh_fed();
+    let vfs: Arc<dyn Vfs> = Arc::clone(&fs) as Arc<dyn Vfs>;
     let (mut qd, mut journal, finished) =
-        QuickDrop::recover_deployment(&paths.ckpt, &mut fed, Some(&policy()), &mut rng).unwrap();
+        QuickDrop::recover_deployment_on(vfs, ckpt_path(), &mut fed, Some(&policy()), &mut rng)
+            .unwrap();
     match state {
         RequestState::Recovered | RequestState::Relearned => {
             assert!(finished.is_none(), "nothing was in flight");
@@ -197,7 +221,6 @@ fn kill_and_resume(
         &REQUESTS[1..],
         Some(&policy()),
         &mut rng,
-        None,
     )
     .unwrap();
     let relearn_phase = qd.config().relearn_phase;
@@ -210,20 +233,16 @@ fn kill_and_resume(
     )
     .unwrap();
 
-    assert_bit_identical(&reference.0, fed.global());
-    assert_same_records(reference.1.records(), journal.records());
-
-    std::fs::remove_file(&paths.ckpt).ok();
-    std::fs::remove_file(&paths.journal).ok();
+    assert_bit_identical(&reference.global, fed.global());
+    assert_same_records(reference.journal.records(), journal.records());
 }
 
 #[test]
 fn killed_request_stream_resumes_bit_for_bit_at_every_boundary() {
-    let ref_paths = paths("reference");
-    let reference = uninterrupted(&ref_paths);
+    let reference = uninterrupted();
     assert_eq!(
         reference
-            .1
+            .journal
             .records()
             .iter()
             .map(|r| (r.seq, r.state, r.batch.map(|b| b.0)))
@@ -240,19 +259,18 @@ fn killed_request_stream_resumes_bit_for_bit_at_every_boundary() {
         "journal must trace the full state machine, each request a unit of one"
     );
     // The journal survives a reopen byte-for-byte.
-    let reopened = RequestJournal::open(ref_paths.journal.clone()).unwrap();
-    assert_same_records(reference.1.records(), reopened.records());
+    let reopened = open_journal(&reference.fs);
+    assert_same_records(reference.journal.records(), reopened.records());
 
+    // Kill right after the first request's RECEIVED, UNLEARNED and
+    // RECOVERED records (journal indices 0, 1, 2).
     for (boundary, state) in [
-        (BatchPreempt::Received, RequestState::Received),
-        (BatchPreempt::Unlearned(1), RequestState::Unlearned),
-        (BatchPreempt::Recovered, RequestState::Recovered),
+        (0, RequestState::Received),
+        (1, RequestState::Unlearned),
+        (2, RequestState::Recovered),
     ] {
         kill_and_resume(boundary, state, &reference);
     }
-
-    std::fs::remove_file(&ref_paths.ckpt).ok();
-    std::fs::remove_file(&ref_paths.journal).ok();
 }
 
 #[test]
@@ -339,24 +357,18 @@ fn batch_policy() -> GuardPolicy {
 
 /// Uninterrupted coalesced batch of both requests: one RECEIVED set,
 /// two UNLEARNED records, one shared recovery, one RECOVERED set.
-fn uninterrupted_batch(paths: &Paths) -> (Vec<Tensor>, RequestJournal) {
-    let (mut fed, mut rng) = fresh_fed();
-    let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
-    Checkpoint::capture(fed.global(), &qd)
-        .save(&paths.ckpt)
-        .unwrap();
-    let mut journal = RequestJournal::open(&paths.journal).unwrap();
-    let run = qd
+fn uninterrupted_batch() -> Reference {
+    let fs = Arc::new(FaultFs::new());
+    let (mut qd, mut fed, mut rng, mut journal) = deploy(&fs);
+    let outcome = qd
         .serve_batch_journaled(
             &mut fed,
             &mut journal,
             &REQUESTS,
             Some(&batch_policy()),
             &mut rng,
-            None,
         )
         .unwrap();
-    let outcome = run.into_complete().expect("no preemption configured");
     assert_eq!(outcome.unlearn.len(), REQUESTS.len());
     let stats = outcome.guard.expect("guarded serving attaches stats");
     assert_eq!(
@@ -365,56 +377,44 @@ fn uninterrupted_batch(paths: &Paths) -> (Vec<Tensor>, RequestJournal) {
         "one attempt per member"
     );
     assert_eq!(stats.rollbacks, 0);
-    (fed.global().to_vec(), journal)
+    Reference {
+        global: fed.global().to_vec(),
+        journal,
+        log: fs.op_log(),
+        fs,
+    }
 }
 
-/// Kill mid-batch at `boundary`, resume in a fresh process, and the
-/// model, journal and per-request terminal states must all match the
-/// unfailed batch run bit-for-bit.
-fn kill_and_resume_batch(
-    boundary: BatchPreempt,
-    name: &str,
-    reference: &(Vec<Tensor>, RequestJournal),
-) {
-    let paths = paths(name);
-
-    // Process A: train, checkpoint, die right after `boundary` is durable.
-    {
-        let (mut fed, mut rng) = fresh_fed();
-        let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
-        Checkpoint::capture(fed.global(), &qd)
-            .save(&paths.ckpt)
-            .unwrap();
-        let mut journal = RequestJournal::open(&paths.journal).unwrap();
-        let run = qd
-            .serve_batch_journaled(
-                &mut fed,
-                &mut journal,
-                &REQUESTS,
-                Some(&batch_policy()),
-                &mut rng,
-                Some(boundary),
-            )
-            .unwrap();
-        let BatchRun::Preempted { boundary: stopped } = run else {
-            panic!("batch serving must stop at {boundary:?}");
-        };
-        assert_eq!(stopped, boundary);
-    }
+/// Kill mid-batch right after record `boundary`'s frame (the first
+/// `len` records), resume in a fresh process, and the model, journal
+/// and per-request terminal states must all match the unfailed batch
+/// run bit-for-bit.
+fn kill_and_resume_batch(boundary: usize, len: usize, reference: &Reference) {
+    // Process A: train, checkpoint, die right after the boundary.
+    let fs = kill_after(reference, boundary, len, |qd, fed, rng, journal| {
+        let _ = qd.serve_batch_journaled(fed, journal, &REQUESTS, Some(&batch_policy()), rng);
+    });
 
     // Process B: everything rebuilt from the seed; batch membership and
     // progress come entirely from the checkpoint + journal.
     let (mut fed, mut rng) = fresh_fed();
-    let (_qd, journal, finished) =
-        QuickDrop::recover_deployment(&paths.ckpt, &mut fed, Some(&batch_policy()), &mut rng)
-            .unwrap();
-    match boundary {
-        BatchPreempt::Recovered => assert!(finished.is_none(), "nothing was in flight"),
-        _ => assert!(finished.is_some(), "resume finishes the in-flight batch"),
+    let vfs: Arc<dyn Vfs> = Arc::clone(&fs) as Arc<dyn Vfs>;
+    let (_qd, journal, finished) = QuickDrop::recover_deployment_on(
+        vfs,
+        ckpt_path(),
+        &mut fed,
+        Some(&batch_policy()),
+        &mut rng,
+    )
+    .unwrap();
+    if len == reference.journal.records().len() {
+        assert!(finished.is_none(), "nothing was in flight");
+    } else {
+        assert!(finished.is_some(), "resume finishes the in-flight batch");
     }
 
-    assert_bit_identical(&reference.0, fed.global());
-    assert_same_records(reference.1.records(), journal.records());
+    assert_bit_identical(&reference.global, fed.global());
+    assert_same_records(reference.journal.records(), journal.records());
     // Every member ends fully served.
     for request in REQUESTS {
         let terminal = journal
@@ -425,18 +425,14 @@ fn kill_and_resume_batch(
             .expect("member has records");
         assert_eq!(terminal.state, RequestState::Recovered, "{request}");
     }
-
-    std::fs::remove_file(&paths.ckpt).ok();
-    std::fs::remove_file(&paths.journal).ok();
 }
 
 #[test]
 fn killed_batch_resumes_bit_for_bit_at_every_boundary() {
-    let ref_paths = paths("batch_reference");
-    let reference = uninterrupted_batch(&ref_paths);
+    let reference = uninterrupted_batch();
     assert_eq!(
         reference
-            .1
+            .journal
             .records()
             .iter()
             .map(|r| (r.seq, r.state, r.batch.map(|b| b.0)))
@@ -451,31 +447,27 @@ fn killed_batch_resumes_bit_for_bit_at_every_boundary() {
         ],
         "batch journal: atomic RECEIVED set, per-member UNLEARNED, atomic RECOVERED set"
     );
-    // The batch journal survives a reopen byte-for-byte (version 2 with
-    // batch ids round-trips).
-    let reopened = RequestJournal::open(ref_paths.journal.clone()).unwrap();
-    assert_same_records(reference.1.records(), reopened.records());
-    assert_eq!(reopened.records()[0].batch, reference.1.records()[0].batch);
+    // The batch journal survives a reopen byte-for-byte (batch ids
+    // round-trip).
+    let reopened = open_journal(&reference.fs);
+    assert_same_records(reference.journal.records(), reopened.records());
+    assert_eq!(
+        reopened.records()[0].batch,
+        reference.journal.records()[0].batch
+    );
 
-    for (boundary, name) in [
-        (BatchPreempt::Received, "batch_kill_received"),
-        (BatchPreempt::Unlearned(1), "batch_kill_unlearned_1"),
-        (BatchPreempt::Unlearned(2), "batch_kill_unlearned_2"),
-        (BatchPreempt::Recovered, "batch_kill_recovered"),
-    ] {
-        kill_and_resume_batch(boundary, name, &reference);
+    // Right after the RECEIVED set (records 0-1, located from its first
+    // record), UNLEARNED 1 and 2 (records 2, 3) and the RECOVERED set
+    // (records 4-5).
+    for (boundary, len) in [(0, 2), (2, 3), (3, 4), (4, 6)] {
+        kill_and_resume_batch(boundary, len, &reference);
     }
-
-    std::fs::remove_file(&ref_paths.ckpt).ok();
-    std::fs::remove_file(&ref_paths.journal).ok();
 }
 
 #[test]
 fn relearn_of_an_unserved_request_is_rejected() {
-    let paths = paths("unserved_relearn");
-    let (mut fed, mut rng) = fresh_fed();
-    let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
-    let mut journal = RequestJournal::open(&paths.journal).unwrap();
+    let fs = Arc::new(FaultFs::new());
+    let (mut qd, mut fed, mut rng, mut journal) = deploy(&fs);
     let phase = qd.config().relearn_phase;
     let err = qd
         .relearn_journaled(&mut fed, &mut journal, REQUESTS[0], &phase, &mut rng)
@@ -485,17 +477,14 @@ fn relearn_of_an_unserved_request_is_rejected() {
 
 #[test]
 fn relearning_twice_is_rejected_and_changes_nothing() {
-    let paths = paths("double_relearn");
-    let (mut fed, mut rng) = fresh_fed();
-    let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
-    let mut journal = RequestJournal::open(&paths.journal).unwrap();
+    let fs = Arc::new(FaultFs::new());
+    let (mut qd, mut fed, mut rng, mut journal) = deploy(&fs);
     qd.serve_batch_journaled(
         &mut fed,
         &mut journal,
         &REQUESTS[..1],
         Some(&policy()),
         &mut rng,
-        None,
     )
     .unwrap();
     let phase = qd.config().relearn_phase;
@@ -514,7 +503,6 @@ fn relearning_twice_is_rejected_and_changes_nothing() {
     assert_eq!(io.kind(), std::io::ErrorKind::InvalidData, "{io}");
     assert_bit_identical(&model, fed.global());
     assert_eq!(journal.records().len(), records, "nothing was appended");
-    std::fs::remove_file(&paths.journal).ok();
 }
 
 /// The upgrade path for journals whose in-flight tail predates batch
@@ -523,17 +511,17 @@ fn relearning_twice_is_rejected_and_changes_nothing() {
 /// writes stay unbatched.
 #[test]
 fn unbatched_tail_resumes_as_a_unit_of_one() {
-    for (boundary, name) in [
-        (BatchPreempt::Received, "received"),
-        (BatchPreempt::Unlearned(1), "unlearned"),
-    ] {
-        let batched = paths(&format!("tail_batched_{name}"));
-        serve_first_until(&batched, boundary);
+    let reference = uninterrupted();
+    // Right after the first request's RECEIVED and UNLEARNED records.
+    for (boundary, name) in [(0, "received"), (1, "unlearned")] {
+        let batched = serve_first_until(&reference, boundary, boundary + 1);
 
-        let legacy = paths(&format!("tail_legacy_{name}"));
-        std::fs::copy(&batched.ckpt, &legacy.ckpt).unwrap();
-        let killed = RequestJournal::open(&batched.journal).unwrap();
-        let mut unbatched = RequestJournal::open(&legacy.journal).unwrap();
+        // The same disk with every journal record rewritten unbatched.
+        let legacy = Arc::new(FaultFs::new());
+        let ckpt = batched.file(&ckpt_path()).expect("checkpoint survives");
+        legacy.reset_to([(ckpt_path(), ckpt)].into_iter().collect());
+        let killed = open_journal(&batched);
+        let mut unbatched = open_journal(&legacy);
         for record in killed.records() {
             unbatched
                 .append(JournalRecord {
@@ -544,11 +532,17 @@ fn unbatched_tail_resumes_as_a_unit_of_one() {
         }
         let copied = killed.records().len();
 
-        let resume = |paths: &Paths| {
+        let resume = |fs: &Arc<FaultFs>| {
             let (mut fed, mut rng) = fresh_fed();
-            let (_qd, journal, finished) =
-                QuickDrop::recover_deployment(&paths.ckpt, &mut fed, Some(&policy()), &mut rng)
-                    .unwrap();
+            let vfs: Arc<dyn Vfs> = Arc::clone(fs) as Arc<dyn Vfs>;
+            let (_qd, journal, finished) = QuickDrop::recover_deployment_on(
+                vfs,
+                ckpt_path(),
+                &mut fed,
+                Some(&policy()),
+                &mut rng,
+            )
+            .unwrap();
             assert!(finished.is_some(), "{name}: the tail was in flight");
             (fed.global().to_vec(), rng.state(), journal)
         };
@@ -580,9 +574,5 @@ fn unbatched_tail_resumes_as_a_unit_of_one() {
                 .all(|r| r.batch.is_none()),
             "{name}: records written while finishing an unbatched tail stay unbatched"
         );
-        for p in [&batched, &legacy] {
-            std::fs::remove_file(&p.ckpt).ok();
-            std::fs::remove_file(&p.journal).ok();
-        }
     }
 }

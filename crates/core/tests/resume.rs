@@ -6,7 +6,7 @@ use qd_core::{Checkpoint, CheckpointPolicy, QuickDrop, QuickDropConfig, TrainRun
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{Federation, Phase};
 use qd_nn::{Mlp, Module};
-use qd_tensor::rng::Rng;
+use qd_tensor::rng::{Rng, RngState};
 use qd_tensor::Tensor;
 use std::sync::Arc;
 
@@ -35,6 +35,51 @@ fn assert_bit_identical(a: &[Tensor], b: &[Tensor]) {
             assert_eq!(u.to_bits(), v.to_bits(), "parameters diverged");
         }
     }
+}
+
+/// FNV-1a (64-bit) over a byte stream.
+fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+fn model_fingerprint(global: &[Tensor]) -> u64 {
+    fnv1a(
+        global
+            .iter()
+            .flat_map(|t| t.data().iter())
+            .flat_map(|x| x.to_bits().to_le_bytes()),
+    )
+}
+
+fn rng_fingerprint(rng: &RngState) -> u64 {
+    let spare = rng
+        .spare_normal
+        .map_or(u64::MAX, |x| u64::from(x.to_bits()));
+    fnv1a(
+        rng.words
+            .iter()
+            .chain([spare].iter())
+            .flat_map(|w| w.to_le_bytes()),
+    )
+}
+
+/// Golden value for training alone: comparing two runs of one build
+/// cannot catch a change that moves both, so the model bits and RNG
+/// stream position after `QuickDrop::train` are pinned as constants.
+#[test]
+fn training_matches_its_pinned_fingerprint() {
+    let (mut fed, mut rng) = fresh_fed();
+    QuickDrop::train(&mut fed, config(), &mut rng);
+    assert_eq!(
+        (
+            model_fingerprint(fed.global()),
+            rng_fingerprint(&rng.state())
+        ),
+        (0x6af6_8d3b_2f5d_8cdf, 0x92c8_d413_de48_1bf9),
+        "pinned model/RNG fingerprint moved"
+    );
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Failure isolation: the poison-tolerant service executor.
 //!
-//! The plain executor ([`crate::run_service`]) has one failure mode:
+//! The plain path of [`crate::run_service`] has one failure mode:
 //! the first unit the divergence guard rejects aborts the whole run,
 //! and every request queued behind it starves. This module gives the
 //! service the opposite contract — **no request can take down the
@@ -46,19 +46,16 @@
 //!
 //! The executor appends a unit's atomic RECEIVED set itself and then
 //! drives *all* model work through
-//! [`qd_core::QuickDrop::resume_requests_until`] — a fresh unit and a
+//! [`qd_core::QuickDrop::resume_requests`] — a fresh unit and a
 //! crash-resumed one execute identical code from identical
-//! journal-derived state, which is what makes the kill-anywhere
-//! crash matrix in `tests/poison.rs` pass bit-for-bit.
+//! journal-derived state, which is what makes the kill-at-every-boundary
+//! matrix in `tests/poison.rs` pass bit-for-bit.
 
 use crate::plan::{build_plan, Plan, PlannedBatch};
-use crate::service::{run_service, ChaosKill, ServiceError, ServiceRun};
+use crate::service::{ServiceError, ServiceRun};
 use crate::stats::ServeStats;
 use crate::ServeConfig;
-use qd_core::{
-    BatchPreempt, FailReason, JournalRecord, QuickDrop, RequestJournal, RequestState, ResumeRun,
-    ServeError,
-};
+use qd_core::{FailReason, JournalRecord, QuickDrop, RequestJournal, RequestState, ServeError};
 use qd_fed::Federation;
 use qd_tensor::rng::Rng;
 use qd_unlearn::{ForgetSet, GuardPolicy, UnlearnRequest};
@@ -68,8 +65,8 @@ use std::collections::BTreeMap;
 /// ascent-LR scale is numerically dead anyway.
 pub const MAX_UNIT_RETRIES: u32 = 16;
 
-/// Failure-isolation knobs. The default is everything **off**, and the
-/// executor with an all-off config routes through the exact plain
+/// Failure-isolation knobs. The default is everything **off**, and
+/// [`crate::run_service`] with an all-off config takes the exact plain
 /// path — journal bytes, model bits and stats unchanged from a build
 /// without this module.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -472,24 +469,12 @@ pub(crate) fn map_journal(plan: &Plan, journal: &RequestJournal) -> Result<Front
     Ok(Frontier { units, done })
 }
 
-/// How one unit's serve attempt ended.
-enum UnitRun {
-    /// Every member reached a terminal state (RECOVERED, QUARANTINED
-    /// or FAILED); `quarantined`/`shed` list the member positions that
-    /// did not recover.
-    Done {
-        quarantined: Vec<usize>,
-        shed: Vec<usize>,
-    },
-    /// A [`ChaosKill`] boundary fired; the journal holds the progress.
-    Preempted,
-}
-
 /// Serves one planned unit under failure isolation: shed OPEN-breaker
 /// tenants to FAILED, probe the retry ladder, bisect and quarantine
 /// what no rung serves, execute the survivors via the resume protocol.
 /// `progress` carries the journal-derived state of a unit a killed run
-/// left in flight.
+/// left in flight. Returns the member positions quarantined and shed;
+/// every other member ends RECOVERED.
 #[allow(clippy::too_many_arguments)]
 fn serve_unit(
     qd: &mut QuickDrop,
@@ -501,11 +486,8 @@ fn serve_unit(
     iso: &IsolationConfig,
     breaker: &TenantBreaker,
     rng: &mut Rng,
-    kill: Option<ChaosKill>,
     progress: Option<&UnitProgress>,
-) -> Result<UnitRun, ServiceError> {
-    let unit_kill = kill.filter(|k| k.unit_index == unit_index);
-    let kill_at = |b: BatchPreempt| unit_kill.is_some_and(|k| k.boundary == b);
+) -> Result<(Vec<usize>, Vec<usize>), ServiceError> {
     let n = unit.members.len();
 
     let mut quarantined: Vec<usize>;
@@ -540,32 +522,14 @@ fn serve_unit(
             pre_global = first.global;
         }
         None => {
-            let id = journal.next_batch_id();
-            let seq0 = journal.next_seq();
             pre_rng = rng.state();
             pre_global = fed.global().to_vec();
             // Always batch-form (even singletons): the resume protocol
             // then treats every executor unit uniformly.
-            let frame: Vec<JournalRecord> = unit
-                .members
-                .iter()
-                .enumerate()
-                .map(|(i, &request)| JournalRecord {
-                    seq: seq0 + i as u64,
-                    request,
-                    state: RequestState::Received,
-                    rng: pre_rng.clone(),
-                    global: pre_global.clone(),
-                    guard: None,
-                    batch: Some(id),
-                    reason: None,
-                })
-                .collect();
-            received_seqs = frame.iter().map(|r| r.seq).collect();
-            journal.append_all(frame).map_err(ServeError::from)?;
-            if kill_at(BatchPreempt::Received) {
-                return Ok(UnitRun::Preempted);
-            }
+            let (id, seqs) = journal
+                .append_received(&unit.members, &pre_rng, &pre_global)
+                .map_err(ServeError::from)?;
+            received_seqs = seqs;
             batch_id = Some(id);
             quarantined = Vec::new();
             // Shed decision: members whose owning tenant's breaker is
@@ -593,9 +557,6 @@ fn serve_unit(
                     })
                     .collect();
                 journal.append_all(frame).map_err(ServeError::from)?;
-                if kill_at(BatchPreempt::Failed) {
-                    return Ok(UnitRun::Preempted);
-                }
             }
             shed = to_shed;
         }
@@ -604,15 +565,10 @@ fn serve_unit(
     let mut active: Vec<usize> = (0..n)
         .filter(|i| !shed.contains(i) && !quarantined.iter().any(|q| q == i))
         .collect();
-    // In-execution boundaries are the resume protocol's to honor; the
-    // executor owns the Received/Failed/Quarantined ones above.
-    let exec_preempt = unit_kill
-        .map(|k| k.boundary)
-        .filter(|b| matches!(b, BatchPreempt::Unlearned(_) | BatchPreempt::Recovered));
 
     loop {
         if active.is_empty() {
-            return Ok(UnitRun::Done { quarantined, shed });
+            return Ok((quarantined, shed));
         }
         let requests: Vec<UnlearnRequest> = active
             .iter()
@@ -629,20 +585,11 @@ fn serve_unit(
         }
         if let Some(rung) = winning {
             // The probe accepted, so the identical real execution
-            // accepts; resume_requests_until restores the journal tail
+            // accepts; resume_requests restores the journal tail
             // (marks, model, RNG) itself and runs the remaining
             // members under the winning rung.
-            let run = qd.resume_requests_until(
-                fed,
-                journal,
-                Some(&ladder_policy(policy, rung)),
-                rng,
-                exec_preempt,
-            )?;
-            return Ok(match run {
-                ResumeRun::Complete(_) => UnitRun::Done { quarantined, shed },
-                ResumeRun::Preempted { .. } => UnitRun::Preempted,
-            });
+            qd.resume_requests(fed, journal, Some(&ladder_policy(policy, rung)), rng)?;
+            return Ok((quarantined, shed));
         }
         // No rung serves the active set. Isolate the poison members —
         // by bisection probes when enabled and the set is divisible —
@@ -698,9 +645,6 @@ fn serve_unit(
             .collect();
         journal.append_all(frame).map_err(ServeError::from)?;
         quarantined.extend(poison.iter().copied());
-        if kill_at(BatchPreempt::Quarantined) {
-            return Ok(UnitRun::Preempted);
-        }
         active.retain(|i| !poison.contains(i));
     }
 }
@@ -709,12 +653,12 @@ fn serve_unit(
 /// `served` becomes the riders of journal-certified RECOVERED members
 /// (not the plan's promise), quarantined/shed riders come from the
 /// QUARANTINED/FAILED records, `pending` is whatever the journal has
-/// not made terminal yet (nonzero exactly on preempted runs), and the
+/// not made terminal yet (zero once every unit has run), and the
 /// breaker column reports the final per-tenant fold when one is in
 /// force. Everything here is a pure function of (plan, journal,
 /// breaker fold), so a resumed run reports bit-for-bit the stats of an
 /// unfailed one — and the accounting identity `admitted = served +
-/// quarantined + shed + pending` holds even mid-crash.
+/// quarantined + shed + pending` holds on any journal prefix.
 pub(crate) fn apply_failure_stats(
     stats: &mut ServeStats,
     plan: &Plan,
@@ -811,29 +755,14 @@ pub fn frontier_summary(
     Ok(summary)
 }
 
-/// [`crate::run_service`] with failure isolation: the retry ladder,
-/// batch bisection and per-tenant circuit breakers of this module,
-/// governed by `iso`. An inactive `iso` routes through the plain path
-/// unchanged (bit-for-bit, including journal bytes). An active one
-/// requires a guard policy — the ladder and bisection probes need a
-/// divergence verdict to act on.
-///
-/// Crash recovery contract: after a kill, reopen the checkpoint and
-/// journal **without** the plain resume call
-/// (`QuickDrop::recover_deployment` would finish the in-flight unit
-/// under the base policy; the CLI skips it when isolation is active)
-/// and call this again with the same config — it restores the tail
-/// ([`QuickDrop::restore_tail`]), re-derives the breaker fold and the
-/// winning ladder rung from the journal, and continues to a
-/// bit-for-bit identical terminal state: model bits, journal records,
-/// dead-letter set and [`ServeStats`].
-///
-/// # Errors
-///
-/// As [`crate::run_service`], plus [`ServiceError::Plan`] for an
-/// invalid `iso` or a missing guard policy.
-#[allow(clippy::too_many_arguments)]
-pub fn run_service_isolated(
+/// The service run behind [`crate::run_service`] when its
+/// [`IsolationConfig`] is active: the retry ladder, batch bisection and
+/// per-tenant circuit breakers of this module. It needs a guard policy
+/// (the probes need a divergence verdict to act on), and it continues a
+/// killed run itself: it restores the journal tail
+/// ([`QuickDrop::restore_tail`]) and re-derives the breaker fold and
+/// the winning ladder rung from the journal.
+pub(crate) fn run_isolated(
     qd: &mut QuickDrop,
     fed: &mut Federation,
     journal: &mut RequestJournal,
@@ -841,12 +770,7 @@ pub fn run_service_isolated(
     policy: Option<&GuardPolicy>,
     iso: &IsolationConfig,
     rng: &mut Rng,
-    kill: Option<ChaosKill>,
 ) -> Result<ServiceRun, ServiceError> {
-    iso.validate().map_err(ServiceError::Plan)?;
-    if !iso.active() {
-        return run_service(qd, fed, journal, cfg, policy, rng, kill);
-    }
     let Some(policy) = policy else {
         return Err(ServiceError::Plan(
             "failure isolation requires a guard policy: the retry ladder and bisection \
@@ -866,40 +790,23 @@ pub fn run_service_isolated(
         iso.breaker_cooldown,
     );
     breaker.replay(&plan, &frontier);
-    let resumed_units = frontier.done as u64;
     let mut executed_units = 0u64;
-    let mut preempted = false;
     for (index, unit) in plan.batches.iter().enumerate().skip(frontier.done) {
         let progress = frontier.units.get(index).filter(|p| p.started);
-        let run = serve_unit(
-            qd, fed, journal, unit, index, policy, iso, &breaker, rng, kill, progress,
+        let (quarantined, shed) = serve_unit(
+            qd, fed, journal, unit, index, policy, iso, &breaker, rng, progress,
         )?;
-        match run {
-            UnitRun::Preempted => {
-                preempted = true;
-                break;
-            }
-            UnitRun::Done { quarantined, shed } => {
-                breaker.tick();
-                breaker.feed(unit, &quarantined, &shed);
-                executed_units += 1;
-            }
-        }
+        breaker.tick();
+        breaker.feed(unit, &quarantined, &shed);
+        executed_units += 1;
     }
-    let final_frontier = map_journal(&plan, journal)?;
-    let mut stats = ServeStats::from_plan(&plan);
-    apply_failure_stats(&mut stats, &plan, &final_frontier, Some(&breaker));
-    if preempted {
-        stats.mark_partial();
-    }
-    let dead_letter = final_frontier.dead_letter(&plan);
-    Ok(ServiceRun {
-        stats,
+    ServiceRun::from_journal(
+        &plan,
+        journal,
+        Some(&breaker),
         executed_units,
-        resumed_units,
-        preempted,
-        dead_letter,
-    })
+        frontier.done as u64,
+    )
 }
 
 #[cfg(test)]

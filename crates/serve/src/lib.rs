@@ -35,14 +35,14 @@
 //!
 //! # Failure isolation
 //!
-//! [`run_service_isolated`] wraps the same plan/execute split in a
-//! degraded-mode executor (see `executor`): a unit the guard rejects
-//! climbs a deterministic retry ladder of tightened policies, a
-//! poisoned coalesced batch is bisected down to the guilty members,
+//! [`run_service`] with an active [`IsolationConfig`] runs the same
+//! plan/execute split through a degraded-mode executor (see
+//! `executor`): a unit the guard rejects climbs a deterministic retry
+//! ladder of tightened policies, a poisoned coalesced batch is bisected down to the guilty members,
 //! those members are quarantined to a dead-letter journal instead of
 //! aborting the run, and per-tenant circuit breakers shed a repeatedly
 //! poisonous tenant's queue. All knobs ([`IsolationConfig`]) default
-//! off, and the inactive executor is bit-for-bit the plain service.
+//! off, and an inactive config is bit-for-bit the plain service.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]
@@ -57,10 +57,10 @@ pub mod stats;
 
 pub use config::ServeConfig;
 pub use executor::{
-    frontier_summary, isolate_poison, ladder_policy, run_service_isolated, FrontierSummary,
-    IsolationConfig, TenantBreaker, MAX_UNIT_RETRIES,
+    frontier_summary, isolate_poison, ladder_policy, FrontierSummary, IsolationConfig,
+    TenantBreaker, MAX_UNIT_RETRIES,
 };
 pub use plan::{build_plan, Arrival, Plan, PlannedBatch, RequestTag};
 pub use pool::ThreadPool;
-pub use service::{run_service, ChaosKill, ServiceError, ServiceRun};
+pub use service::{run_service, ServiceError, ServiceRun};
 pub use stats::{percentile_us, ServeStats};

@@ -10,18 +10,21 @@
 //! incomplete unit. The final model, journal records and
 //! [`ServeStats`] match an unfailed run bit-for-bit.
 //!
-//! With an active [`crate::IsolationConfig`] the same entry point
-//! routes through the failure-isolation executor
-//! ([`crate::run_service_isolated`]): diverging units walk a retry
-//! ladder, poison members are bisected into a dead-letter set, and
-//! per-tenant circuit breakers shed work from repeat offenders — see
-//! `crate::executor`.
+//! With an active [`IsolationConfig`] the same entry point runs the
+//! failure-isolation executor (`crate::executor`): diverging units walk
+//! a retry ladder, poison members are bisected into a dead-letter set,
+//! and per-tenant circuit breakers shed work from repeat offenders.
+//!
+//! Crashes are not modeled here: a test kills a run by failing a
+//! storage operation of its [`qd_core::FaultFs`], which surfaces as an
+//! error from [`run_service`], exactly as a dying process would leave
+//! the journal.
 
 use crate::config::ServeConfig;
-use crate::executor::map_journal;
-use crate::plan::build_plan;
+use crate::executor::{apply_failure_stats, map_journal, IsolationConfig, TenantBreaker};
+use crate::plan::{build_plan, Plan};
 use crate::stats::ServeStats;
-use qd_core::{BatchPreempt, BatchRun, QuickDrop, RequestJournal, ServeError};
+use qd_core::{QuickDrop, RequestJournal, ServeError};
 use qd_fed::Federation;
 use qd_tensor::rng::Rng;
 use qd_unlearn::{ForgetSet, GuardPolicy};
@@ -61,60 +64,47 @@ impl From<ServeError> for ServiceError {
     }
 }
 
-/// A deterministic crash stand-in: stop the run right after `boundary`
-/// of planned unit `unit_index` becomes durable, exactly as a kill at
-/// that instant would.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChaosKill {
-    /// Index into the plan's unit list.
-    pub unit_index: usize,
-    /// The journal boundary to die at. `Unlearned(k)` past the unit's
-    /// size fires after its last member (see [`BatchPreempt`]). The
-    /// isolation-only boundaries (`Quarantined`, `Failed`) only fire
-    /// under an active [`crate::IsolationConfig`]; the plain path
-    /// never reaches them.
-    pub boundary: BatchPreempt,
-}
-
-impl ChaosKill {
-    /// The serve-side reading of a unified [`qd_core::CrashPoint`]:
-    /// boundary points become a `ChaosKill`, storage points are
-    /// [`qd_core::FaultFs::arm`]'s to consume (and return `None`
-    /// here). A chaos schedule holds at most one `CrashPoint` per
-    /// process lifetime, so routing every kill through these two
-    /// translations means it can never express contradictory deaths.
-    pub fn from_point(point: &qd_core::CrashPoint) -> Option<ChaosKill> {
-        match *point {
-            qd_core::CrashPoint::VfsOp(_) => None,
-            qd_core::CrashPoint::Boundary { unit, boundary } => Some(ChaosKill {
-                unit_index: unit,
-                boundary,
-            }),
-        }
-    }
-}
-
 /// What a [`run_service`] call did.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceRun {
-    /// Full SLA accounting. Plan-derived and identical across resumes;
-    /// when `preempted` is true the stats are marked
-    /// [partial](ServeStats::partial) and the latency/throughput
-    /// fields are zeroed, because they would describe a schedule that
-    /// never finished.
+    /// Full SLA accounting. Plan-derived and identical across resumes.
     pub stats: ServeStats,
     /// Units this call executed (not counting ones a previous process
     /// had already completed).
     pub executed_units: u64,
     /// Units already certified by the journal when this call started.
     pub resumed_units: u64,
-    /// True when a [`ChaosKill`] stopped the run early; the journal
-    /// holds the partial progress and a later call continues it.
+    /// Always false: a run either serves every unit or returns an
+    /// error, and a crash is an error. Kept because callers read it.
     pub preempted: bool,
     /// The dead-letter set: requests whose members were isolated to
     /// QUARANTINED. Empty on the plain path and on any run without
     /// poison.
     pub dead_letter: ForgetSet,
+}
+
+impl ServiceRun {
+    /// The run's result as the journal certifies it: SLA stats folded
+    /// over the final journal↔plan frontier (and the breaker fold, when
+    /// one was in force), plus the dead-letter set.
+    pub(crate) fn from_journal(
+        plan: &Plan,
+        journal: &RequestJournal,
+        breaker: Option<&TenantBreaker>,
+        executed_units: u64,
+        resumed_units: u64,
+    ) -> Result<ServiceRun, ServiceError> {
+        let frontier = map_journal(plan, journal)?;
+        let mut stats = ServeStats::from_plan(plan);
+        apply_failure_stats(&mut stats, plan, &frontier, breaker);
+        Ok(ServiceRun {
+            stats,
+            executed_units,
+            resumed_units,
+            preempted: false,
+            dead_letter: frontier.dead_letter(plan),
+        })
+    }
 }
 
 /// Plans and executes the whole service run for `cfg` — or, when the
@@ -130,15 +120,22 @@ pub struct ServiceRun {
 /// deployment (`QuickDrop::recover_deployment`, which finishes any
 /// partially-applied unit), then call this with the same config.
 ///
-/// This is the *plain* (isolation-off) path: every unit, singleton or
-/// coalesced, goes through `QuickDrop::serve_batch_journaled`. It is
-/// also what [`crate::run_service_isolated`] runs when its
-/// [`crate::IsolationConfig`] is all off, so the two agree bit-for-bit
-/// in that case.
+/// Without an active `iso` (`None`, or every knob off) this is the
+/// *plain* path: every unit, singleton or coalesced, goes through
+/// `QuickDrop::serve_batch_journaled`, and the first diverging unit
+/// aborts the run. An active `iso` runs the failure-isolation executor
+/// instead (see `crate::executor`), which needs a guard `policy`. Its
+/// crash recovery differs: reopen the checkpoint and journal
+/// **without** the plain resume call (`QuickDrop::recover_deployment`
+/// would finish the in-flight unit under the base policy) and call
+/// this again with the same config; it re-derives the winning ladder
+/// rung and the breaker fold from the journal and reaches the same
+/// model bits, journal records, dead-letter set and [`ServeStats`].
 ///
 /// # Errors
 ///
-/// [`ServiceError::Plan`] for an unrunnable config,
+/// [`ServiceError::Plan`] for an unrunnable config, an invalid `iso`
+/// or an active `iso` without a guard policy,
 /// [`ServiceError::ForeignJournal`] when the journal cannot be aligned
 /// with the plan, or [`ServiceError::Serve`] when a unit fails (guard
 /// divergence aborts the run; the journal keeps the diverged unit at
@@ -152,34 +149,20 @@ pub fn run_service(
     cfg: &ServeConfig,
     policy: Option<&GuardPolicy>,
     rng: &mut Rng,
-    kill: Option<ChaosKill>,
+    iso: Option<&IsolationConfig>,
 ) -> Result<ServiceRun, ServiceError> {
+    if let Some(iso) = iso {
+        iso.validate().map_err(ServiceError::Plan)?;
+        if iso.active() {
+            return crate::executor::run_isolated(qd, fed, journal, cfg, policy, iso, rng);
+        }
+    }
     let plan = build_plan(cfg).map_err(ServiceError::Plan)?;
     let frontier = map_journal(&plan, journal)?;
-    let resumed_units = frontier.done as u64;
-    let mut stats = ServeStats::from_plan(&plan);
     let mut executed_units = 0u64;
-    let mut preempted = false;
-    for (index, unit) in plan.batches.iter().enumerate().skip(frontier.done) {
-        let preempt_at = kill.filter(|k| k.unit_index == index).map(|k| k.boundary);
-        let run = qd.serve_batch_journaled(fed, journal, &unit.members, policy, rng, preempt_at)?;
-        if matches!(run, BatchRun::Preempted { .. }) {
-            preempted = true;
-            break;
-        }
+    for unit in plan.batches.iter().skip(frontier.done) {
+        qd.serve_batch_journaled(fed, journal, &unit.members, policy, rng)?;
         executed_units += 1;
     }
-    let final_frontier = map_journal(&plan, journal)?;
-    crate::executor::apply_failure_stats(&mut stats, &plan, &final_frontier, None);
-    if preempted {
-        stats.mark_partial();
-    }
-    let dead_letter = final_frontier.dead_letter(&plan);
-    Ok(ServiceRun {
-        stats,
-        executed_units,
-        resumed_units,
-        preempted,
-        dead_letter,
-    })
+    ServiceRun::from_journal(&plan, journal, None, executed_units, frontier.done as u64)
 }

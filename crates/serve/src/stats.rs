@@ -61,17 +61,16 @@ pub struct ServeStats {
     pub bisected_units: u64,
     /// Admitted requests with no terminal journal record yet — neither
     /// RECOVERED nor QUARANTINED nor FAILED. Zero on every completed
-    /// run; nonzero exactly when the run was preempted mid-plan. The
-    /// accounting identity `admitted = served + quarantined + shed +
+    /// run. The accounting identity `admitted = served + quarantined + shed +
     /// pending` holds unconditionally (the chaos harness checks it
     /// after every run).
     pub pending: u64,
     /// Final per-tenant circuit-breaker state: `"closed"`, `"open(n)"`
     /// (n cooldown units remaining) or `"half-open"`.
     pub breaker: Vec<String>,
-    /// True when the run was preempted before completing every unit;
-    /// the latency/throughput fields are zeroed because they would
-    /// describe a schedule that never finished.
+    /// Always false: a run either completes every unit or returns an
+    /// error instead of stats. The key stays in the stats file so its
+    /// bytes do not change.
     pub partial: bool,
 }
 
@@ -132,26 +131,6 @@ impl ServeStats {
             breaker: vec!["closed".to_string(); plan.rejected_by_tenant.len()],
             partial: false,
         }
-    }
-
-    /// Marks a preempted run's stats partial: the SLA numbers describe
-    /// the planned schedule, not what actually completed, so the
-    /// latency and throughput fields are zeroed rather than reported
-    /// as final-looking figures.
-    ///
-    /// Everything journal-certified survives unchanged: the per-tenant
-    /// breaker labels (the fold over the journal is as real for a
-    /// preempted run as for a finished one) and the
-    /// served/quarantined/shed/pending counts, whose identity
-    /// `admitted = served + quarantined + shed + pending` must keep
-    /// holding — `stats_identity_survives_preemption` in this module
-    /// and the chaos harness's accounting invariant both pin it.
-    pub fn mark_partial(&mut self) {
-        self.partial = true;
-        self.p50_latency_us = 0;
-        self.p99_latency_us = 0;
-        self.throughput_rps = 0.0;
-        self.makespan_us = 0;
     }
 
     /// Writes the stats as JSON with the workspace's crash-safe file
@@ -215,34 +194,5 @@ mod tests {
         let read = ServeStats::from_value(&value).unwrap();
         assert_eq!(read, stats);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn stats_identity_survives_preemption() {
-        let plan = build_plan(&ServeConfig::default()).unwrap();
-        let mut stats = ServeStats::from_plan(&plan);
-        assert!(stats.admitted >= 3, "default plan must admit real work");
-        // A journal-derived partial outcome: some riders terminal, some
-        // still pending when the process died.
-        stats.served = stats.admitted - 3;
-        stats.quarantined = 1;
-        stats.shed = 1;
-        stats.pending = 1;
-        stats.breaker = vec!["open(2)".to_string(); stats.tenants];
-        stats.mark_partial();
-        assert!(stats.partial);
-        assert_eq!(
-            stats.admitted,
-            stats.served + stats.quarantined + stats.shed + stats.pending,
-            "accounting identity must survive mark_partial"
-        );
-        assert!(
-            stats.breaker.iter().all(|s| s == "open(2)"),
-            "per-tenant breaker labels must survive preemption"
-        );
-        assert_eq!(stats.p50_latency_us, 0);
-        assert_eq!(stats.p99_latency_us, 0);
-        assert_eq!(stats.throughput_rps, 0.0);
-        assert_eq!(stats.makespan_us, 0);
     }
 }

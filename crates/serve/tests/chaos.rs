@@ -4,15 +4,19 @@
 //! request journal and reproduces the unfailed run **bit-for-bit**:
 //! final model bits, every journal record, and the reported
 //! [`ServeStats`].
+//!
+//! Every kill is a `FaultFs` kill: "right after a boundary" is the
+//! first storage op after the fsync that made the boundary's journal
+//! frame durable, located in the unfailed run's op log.
 
 mod common;
 
 use common::{files_fingerprint, model_fingerprint, rng_fingerprint};
-use qd_core::{BatchPreempt, Checkpoint, QuickDrop, QuickDropConfig, RequestJournal, RequestState};
+use qd_core::{BatchId, Checkpoint, QuickDrop, QuickDropConfig, RequestJournal, RequestState};
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{Federation, Phase};
 use qd_nn::{Mlp, Module};
-use qd_serve::{build_plan, run_service, ChaosKill, Plan, ServeConfig, ServeStats};
+use qd_serve::{build_plan, run_service, Plan, ServeConfig, ServeStats};
 use qd_tensor::rng::Rng;
 use qd_tensor::Tensor;
 use qd_unlearn::GuardPolicy;
@@ -69,21 +73,6 @@ fn serve_config() -> ServeConfig {
     }
 }
 
-struct Paths {
-    ckpt: PathBuf,
-    journal: PathBuf,
-}
-
-fn paths(name: &str) -> Paths {
-    let dir = std::env::temp_dir().join("qd_serve_chaos_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let ckpt = dir.join(format!("{name}.json"));
-    let journal = RequestJournal::path_for_checkpoint(&ckpt);
-    std::fs::remove_file(&ckpt).ok();
-    std::fs::remove_file(&journal).ok();
-    Paths { ckpt, journal }
-}
-
 fn assert_bit_identical(a: &[Tensor], b: &[Tensor]) {
     assert_eq!(a.len(), b.len());
     for (x, y) in a.iter().zip(b) {
@@ -93,111 +82,60 @@ fn assert_bit_identical(a: &[Tensor], b: &[Tensor]) {
     }
 }
 
-fn assert_same_records(reference: &RequestJournal, resumed: &RequestJournal) {
-    let (a, b) = (reference.records(), resumed.records());
-    assert_eq!(a.len(), b.len(), "journal length diverged");
-    for (x, y) in a.iter().zip(b) {
-        assert_eq!(x.seq, y.seq);
-        assert_eq!(x.request, y.request);
-        assert_eq!(x.state, y.state);
-        assert_eq!(x.batch, y.batch);
-        assert_eq!(x.rng, y.rng, "RNG stream diverged at {} {}", x.seq, x.state);
-        assert_eq!(
-            x.guard, y.guard,
-            "guard stats diverged at {} {}",
-            x.seq, x.state
-        );
-        assert_bit_identical(&x.global, &y.global);
-    }
-}
-
-/// The unfailed run: train, checkpoint, serve the whole plan.
-fn unfailed(paths: &Paths) -> (Vec<Tensor>, RequestJournal, ServeStats) {
-    let (mut fed, mut rng) = fresh_fed();
-    let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
-    Checkpoint::capture(fed.global(), &qd)
-        .save(&paths.ckpt)
-        .unwrap();
-    let mut journal = RequestJournal::open(&paths.journal).unwrap();
-    let run = run_service(
-        &mut qd,
-        &mut fed,
-        &mut journal,
-        &serve_config(),
-        Some(&policy()),
-        &mut rng,
-        None,
-    )
-    .unwrap();
-    assert!(!run.preempted);
-    assert_eq!(run.resumed_units, 0);
-    assert_eq!(
-        (
-            model_fingerprint(fed.global()),
-            rng_fingerprint(&rng.state())
-        ),
-        (0x30fc_9cd6_1087_d880, 0x4381_b721_9ad2_2386),
-        "pinned model/RNG fingerprint moved"
-    );
-    (fed.global().to_vec(), journal, run.stats)
-}
-
-/// Kills the service at `kill`, then resumes in a "fresh process" and
-/// finishes the plan; the outcome must match `reference` bit-for-bit.
+/// Kills the service right after the `(state, k)` boundary of planned
+/// unit `unit` (`RequestJournal::boundary_frame`; the service opens
+/// batch `u` for unit `u`), located in the unfailed run's op `log`,
+/// then resumes in a "fresh
+/// process" and finishes the plan; the outcome must match `reference`
+/// bit-for-bit.
 fn kill_and_resume(
-    kill: ChaosKill,
+    seed: &ServeSeed,
+    reference: &VfsTerminal,
+    (journal, log): (&RequestJournal, &[(VfsOp, PathBuf)]),
+    unit: usize,
+    (state, k): (RequestState, usize),
     name: &str,
-    reference: &(Vec<Tensor>, RequestJournal, ServeStats),
 ) {
-    let paths = paths(name);
+    let frame = journal
+        .boundary_frame(BatchId(unit as u64), state, k)
+        .expect("the unfailed run wrote the boundary");
+    let op = journal
+        .kill_after(log, frame.start)
+        .expect("the boundary is in the unfailed run's log");
 
-    // Process A: train, checkpoint, die at the configured boundary.
-    {
-        let (mut fed, mut rng) = fresh_fed();
-        let (mut qd, _) = QuickDrop::train(&mut fed, config(), &mut rng);
-        Checkpoint::capture(fed.global(), &qd)
-            .save(&paths.ckpt)
-            .unwrap();
-        let mut journal = RequestJournal::open(&paths.journal).unwrap();
-        let run = run_service(
-            &mut qd,
-            &mut fed,
-            &mut journal,
-            &serve_config(),
-            Some(&policy()),
-            &mut rng,
-            Some(kill),
-        )
-        .unwrap();
-        assert!(run.preempted, "the kill must fire");
-        assert_eq!(run.executed_units as usize, kill.unit_index);
+    // Process A: deploy, die right after the boundary's frame.
+    let fs = Arc::new(FaultFs::new());
+    fs.kill_at(op);
+    assert!(
+        vfs_scenario(seed, &fs).is_err(),
+        "{name}: the kill at op {op} must fire"
+    );
+    fs.crash();
+    let killed = open_journal(&fs);
+    assert_eq!(
+        killed.records().len(),
+        frame.end,
+        "{name}: the journal must end in the boundary's frame"
+    );
+    for (a, b) in reference.records.iter().zip(killed.records()) {
+        assert_eq!(
+            (a.seq, a.state, a.batch),
+            (b.seq, b.state, b.batch),
+            "{name}"
+        );
+        assert_eq!(a.rng, b.rng, "{name}: record RNG diverged");
+        assert_bit_identical(&a.global, &b.global);
     }
 
     // Process B: model, RNG and progress all come from checkpoint +
     // journal. recover_deployment finishes the partially-applied unit;
     // run_service then re-plans and continues from the frontier.
-    let (mut fed, mut rng) = fresh_fed();
-    let (mut qd, mut journal, _finished) =
-        QuickDrop::recover_deployment(&paths.ckpt, &mut fed, Some(&policy()), &mut rng).unwrap();
-    let run = run_service(
-        &mut qd,
-        &mut fed,
-        &mut journal,
-        &serve_config(),
-        Some(&policy()),
-        &mut rng,
-        None,
-    )
-    .unwrap();
-    assert!(!run.preempted);
+    let resumed = vfs_resume(seed, &fs);
     assert!(
-        run.resumed_units as usize >= kill.unit_index,
-        "resume must not redo finished units"
+        resumed.resumed_units as usize >= unit,
+        "{name}: resume must not redo finished units"
     );
-
-    assert_bit_identical(&reference.0, fed.global());
-    assert_same_records(&reference.1, &journal);
-    assert_eq!(run.stats, reference.2, "SLA stats diverged across resume");
+    assert_vfs_terminal_eq(reference, &resumed, name);
 }
 
 /// The plan this config produces, with the shape the chaos schedule
@@ -229,64 +167,76 @@ fn killed_service_resumes_bit_for_bit_at_every_boundary_kind() {
         .expect("need a singleton unit");
     let last_unit = plan.batches.len() - 1;
 
-    let ref_paths = paths("serve_unfailed");
-    let reference = unfailed(&ref_paths);
+    let seed = serve_seed();
+    let reference_fs = Arc::new(FaultFs::new());
+    let reference = vfs_scenario(&seed, &reference_fs).expect("unfailed service run succeeds");
+    assert_eq!(reference.resumed_units, 0, "a fresh run resumes nothing");
+    let log = reference_fs.op_log();
+    let journal = open_journal(&reference_fs);
+    assert_eq!(
+        (
+            model_fingerprint(&reference.global),
+            rng_fingerprint(&reference.rng)
+        ),
+        (0x30fc_9cd6_1087_d880, 0x4381_b721_9ad2_2386),
+        "pinned model/RNG fingerprint moved"
+    );
     assert_eq!(
         reference
-            .1
-            .records()
+            .records
             .iter()
             .filter(|r| r.state == RequestState::Recovered)
             .count(),
         plan.batches.iter().map(|b| b.members.len()).sum::<usize>(),
         "every planned member reaches RECOVERED"
     );
+    let located = (&journal, log.as_slice());
 
     // Kill before any work: only the RECEIVED set of unit 0 is durable.
     kill_and_resume(
-        ChaosKill {
-            unit_index: 0,
-            boundary: BatchPreempt::Received,
-        },
-        "serve_kill_received",
+        &seed,
         &reference,
+        located,
+        0,
+        (RequestState::Received, 1),
+        "serve_kill_received",
     );
     // Kill mid-batch: some members UNLEARNED, recovery not run.
     kill_and_resume(
-        ChaosKill {
-            unit_index: batch_unit,
-            boundary: BatchPreempt::Unlearned(1),
-        },
+        &seed,
+        &reference,
+        located,
+        batch_unit,
+        (RequestState::Unlearned, 1),
         "serve_kill_unlearned_first",
-        &reference,
     );
     kill_and_resume(
-        ChaosKill {
-            unit_index: batch_unit,
-            boundary: BatchPreempt::Unlearned(batch_len),
-        },
+        &seed,
+        &reference,
+        located,
+        batch_unit,
+        (RequestState::Unlearned, batch_len),
         "serve_kill_unlearned_last",
-        &reference,
     );
-    // A count past a unit's size fires after its last member, so this
-    // kills a singleton unit at its one UNLEARNED record.
+    // A count past a unit's size means its last member, so this kills
+    // a singleton unit at its one UNLEARNED record.
     kill_and_resume(
-        ChaosKill {
-            unit_index: single_unit,
-            boundary: BatchPreempt::Unlearned(2),
-        },
-        "serve_kill_single_unlearned_past_size",
+        &seed,
         &reference,
+        located,
+        single_unit,
+        (RequestState::Unlearned, 2),
+        "serve_kill_single_unlearned_past_size",
     );
     // Kill after the last unit's RECOVERED set: resume has nothing to
     // redo and must recognize that from the journal alone.
     kill_and_resume(
-        ChaosKill {
-            unit_index: last_unit,
-            boundary: BatchPreempt::Recovered,
-        },
-        "serve_kill_recovered",
+        &seed,
         &reference,
+        located,
+        last_unit,
+        (RequestState::Recovered, 1),
+        "serve_kill_recovered",
     );
 }
 
@@ -300,14 +250,14 @@ fn stats_report_real_coalescing_for_the_chaos_mix() {
 }
 
 // ---------------------------------------------------------------------------
-// Vfs-level crash matrix: instead of killing at semantic boundaries, kill
+// Vfs-level crash matrix: beyond the located boundary kills above, kill
 // at every *syscall* of a full service run — checkpoint save, journal
 // marker, every framed append and fsync, the stats write — crash the
 // in-memory filesystem, recover, and demand the identical terminal state:
 // model bits, journal records, SLA stats, and every on-disk byte.
 // ---------------------------------------------------------------------------
 
-use qd_core::{FaultFs, JournalRecord, Vfs};
+use qd_core::{FaultFs, JournalRecord, Vfs, VfsOp};
 use qd_tensor::rng::RngState;
 use std::collections::BTreeMap;
 
@@ -348,6 +298,12 @@ struct VfsTerminal {
     records: Vec<JournalRecord>,
     stats: ServeStats,
     files: BTreeMap<PathBuf, Vec<u8>>,
+    resumed_units: u64,
+}
+
+fn open_journal(fs: &Arc<FaultFs>) -> RequestJournal {
+    let vfs: Arc<dyn Vfs> = Arc::clone(fs) as Arc<dyn Vfs>;
+    RequestJournal::open_on(vfs, RequestJournal::path_for_checkpoint(vfs_ckpt_path())).unwrap()
 }
 
 /// One full service deployment on `fs`: save checkpoint, open journal,
@@ -381,6 +337,7 @@ fn vfs_scenario(seed: &ServeSeed, fs: &Arc<FaultFs>) -> Result<VfsTerminal, Stri
         records: journal.records().to_vec(),
         stats: run.stats,
         files: fs.files(),
+        resumed_units: run.resumed_units,
     })
 }
 
@@ -422,6 +379,7 @@ fn vfs_resume(seed: &ServeSeed, fs: &Arc<FaultFs>) -> VfsTerminal {
         records: journal.records().to_vec(),
         stats: run.stats,
         files: fs.files(),
+        resumed_units: run.resumed_units,
     }
 }
 

@@ -6,32 +6,32 @@
 //! 2. quarantine **exactly** the Byzantine client's request — isolated
 //!    out of coalesced units by batch bisection, with typed reasons —
 //!    into the dead-letter set, and
-//! 3. when killed at any of the new failure-isolation boundaries
+//! 3. when killed at any of the failure-isolation boundaries
 //!    (RECEIVED, QUARANTINED, FAILED, and the in-execution ones),
 //!    resume from checkpoint + journal to a terminal state
 //!    **bit-for-bit** identical to the unfailed degraded run: model
 //!    bits, every journal record including the typed reason, the
 //!    dead-letter set, and [`ServeStats`].
 //!
+//! Every run lives on a `FaultFs`; a kill right after a boundary is the
+//! first storage op after the fsync that made its frame durable,
+//! located in the unfailed run's op log.
+//!
 //! A final test pins the inertness contract: with every isolation flag
-//! off, [`run_service_isolated`] is byte-for-byte the plain
-//! [`run_service`] — same model, same journal bytes on disk, same
-//! stats.
+//! off, [`run_service`] is byte-for-byte the plain path — same model,
+//! same journal bytes on disk, same stats.
 
 mod common;
 
 use common::{model_fingerprint, rng_fingerprint};
 use qd_core::{
-    BatchPreempt, Checkpoint, FailReason, FaultFs, JournalRecord, QuickDrop, QuickDropConfig,
-    RequestJournal, RequestState, Vfs,
+    BatchId, Checkpoint, FailReason, FaultFs, JournalRecord, QuickDrop, QuickDropConfig,
+    RequestJournal, RequestState, Vfs, VfsOp,
 };
 use qd_data::{partition_iid, SyntheticDataset};
 use qd_fed::{FaultKind, FaultPlan, Federation, Phase};
 use qd_nn::{Mlp, Module};
-use qd_serve::{
-    build_plan, run_service, run_service_isolated, ChaosKill, IsolationConfig, Plan, ServeConfig,
-    ServeStats,
-};
+use qd_serve::{build_plan, run_service, IsolationConfig, Plan, ServeConfig, ServeStats};
 use qd_tensor::rng::{Rng, RngState};
 use qd_tensor::Tensor;
 use qd_unlearn::{GuardPolicy, UnlearnRequest};
@@ -116,19 +116,13 @@ fn iso() -> IsolationConfig {
     }
 }
 
-struct Paths {
-    ckpt: PathBuf,
-    journal: PathBuf,
+fn ckpt_path() -> PathBuf {
+    PathBuf::from("svc.json")
 }
 
-fn paths(name: &str) -> Paths {
-    let dir = std::env::temp_dir().join("qd_serve_poison_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let ckpt = dir.join(format!("{name}.json"));
-    let journal = RequestJournal::path_for_checkpoint(&ckpt);
-    std::fs::remove_file(&ckpt).ok();
-    std::fs::remove_file(&journal).ok();
-    Paths { ckpt, journal }
+fn open_journal(fs: &Arc<FaultFs>) -> RequestJournal {
+    let vfs: Arc<dyn Vfs> = Arc::clone(fs) as Arc<dyn Vfs>;
+    RequestJournal::open_on(vfs, RequestJournal::path_for_checkpoint(ckpt_path())).unwrap()
 }
 
 fn assert_bit_identical(a: &[Tensor], b: &[Tensor]) {
@@ -233,25 +227,42 @@ struct Terminal {
     records: Vec<JournalRecord>,
     stats: ServeStats,
     dead_letter: Vec<UnlearnRequest>,
+    /// The journal the run wrote.
+    journal: RequestJournal,
+    /// The run's storage op log.
+    log: Vec<(VfsOp, PathBuf)>,
 }
 
-/// The unfailed degraded run: deploy, serve the whole poisoned plan
-/// under `iso`, no kill.
-fn unfailed(seed: &PoisonSeed, paths: &Paths, iso: &IsolationConfig) -> Terminal {
+/// One process lifetime on `fs`: deploy, save the checkpoint, serve the
+/// whole poisoned plan under `iso`. A storage kill surfaces as `Err`.
+fn serve(
+    seed: &PoisonSeed,
+    fs: &Arc<FaultFs>,
+    iso: &IsolationConfig,
+) -> Result<(Federation, Rng, RequestJournal, qd_serve::ServiceRun), String> {
     let (mut fed, mut qd, mut rng) = deploy(seed);
-    seed.ckpt.save(&paths.ckpt).unwrap();
-    let mut journal = RequestJournal::open(&paths.journal).unwrap();
-    let run = run_service_isolated(
+    seed.ckpt
+        .save_on(fs.as_ref(), &ckpt_path())
+        .map_err(|e| e.to_string())?;
+    let mut journal = open_journal(fs);
+    let run = run_service(
         &mut qd,
         &mut fed,
         &mut journal,
         &serve_config(),
         Some(&policy()),
-        iso,
         &mut rng,
-        None,
+        Some(iso),
     )
-    .unwrap();
+    .map_err(|e| e.to_string())?;
+    Ok((fed, rng, journal, run))
+}
+
+/// The unfailed degraded run: deploy, serve the whole poisoned plan
+/// under `iso`, no kill.
+fn unfailed(seed: &PoisonSeed, iso: &IsolationConfig) -> Terminal {
+    let fs = Arc::new(FaultFs::new());
+    let (fed, rng, journal, run) = serve(seed, &fs, iso).unwrap();
     assert!(!run.preempted);
     assert_eq!(run.resumed_units, 0);
     Terminal {
@@ -260,6 +271,8 @@ fn unfailed(seed: &PoisonSeed, paths: &Paths, iso: &IsolationConfig) -> Terminal
         records: journal.records().to_vec(),
         stats: run.stats,
         dead_letter: run.dead_letter.requests(),
+        journal,
+        log: fs.op_log(),
     }
 }
 
@@ -281,70 +294,69 @@ fn seq_units(plan: &Plan, records: &[JournalRecord]) -> BTreeMap<u64, usize> {
     map
 }
 
-/// Kills the degraded service at `kill`, then resumes in a "fresh
-/// process" from checkpoint + journal alone — deliberately **without**
-/// the plain `recover_deployment` resume, which would finish the
-/// in-flight unit under the base policy; the isolated executor
-/// re-derives the winning ladder rung and the breaker fold from the
-/// journal itself — and demands the unfailed run's terminal state.
+/// Kills the degraded service right after the `(state, k)` boundary of
+/// planned unit `unit` (`RequestJournal::boundary_frame`; the service
+/// opens batch `u` for unit `u`), then resumes in a "fresh process" from checkpoint + journal
+/// alone — deliberately **without** the plain `recover_deployment`
+/// resume, which would finish the in-flight unit under the base policy;
+/// the isolated executor re-derives the winning ladder rung and the
+/// breaker fold from the journal itself — and demands the unfailed
+/// run's terminal state.
 fn kill_and_resume(
     seed: &PoisonSeed,
     iso: &IsolationConfig,
-    kill: ChaosKill,
+    unit: usize,
+    (state, k): (RequestState, usize),
     name: &str,
     reference: &Terminal,
 ) {
-    let paths = paths(name);
+    let frame = reference
+        .journal
+        .boundary_frame(BatchId(unit as u64), state, k)
+        .expect("the unfailed run wrote the boundary");
+    let op = reference
+        .journal
+        .kill_after(&reference.log, frame.start)
+        .expect("the boundary is in the unfailed run's log");
 
-    // Process A: deploy, die at the configured boundary.
-    {
-        let (mut fed, mut qd, mut rng) = deploy(seed);
-        seed.ckpt.save(&paths.ckpt).unwrap();
-        let mut journal = RequestJournal::open(&paths.journal).unwrap();
-        let run = run_service_isolated(
-            &mut qd,
-            &mut fed,
-            &mut journal,
-            &serve_config(),
-            Some(&policy()),
-            iso,
-            &mut rng,
-            Some(kill),
-        )
-        .unwrap();
-        assert!(
-            run.preempted,
-            "{name}: the kill at unit {} must fire",
-            kill.unit_index
-        );
-        assert!(run.stats.partial, "{name}: preempted stats must be partial");
-        assert_eq!(run.stats.p50_latency_us, 0, "{name}: partial zeroes SLAs");
-        assert_eq!(run.stats.makespan_us, 0, "{name}: partial zeroes SLAs");
-    }
+    // Process A: deploy, die right after the boundary's frame — or,
+    // when nothing follows it inside the run, crash right after.
+    let fs = Arc::new(FaultFs::new());
+    fs.kill_at(op);
+    let killed = serve(seed, &fs, iso);
+    assert!(
+        killed.is_err() || fs.op_count() == op,
+        "{name}: the kill at unit {unit} must fire"
+    );
+    fs.crash();
+    let journal = open_journal(&fs);
+    assert_same_records(&reference.records[..frame.end], journal.records());
 
     // Process B: model from the checkpoint, progress and RNG from the
     // journal tail (every isolation boundary leaves at least one
     // durable record, so the seed below is never actually used).
     let (mut fed, _) = fresh_fed();
     fed.set_fault_plan(Some(spike_plan()));
-    let (global, mut qd) = Checkpoint::load(&paths.ckpt).unwrap().restore().unwrap();
+    let (global, mut qd) = Checkpoint::load_on(fs.as_ref(), &ckpt_path())
+        .unwrap()
+        .restore()
+        .unwrap();
     fed.set_global(global);
-    let mut journal = RequestJournal::open(&paths.journal).unwrap();
+    let mut journal = journal;
     let mut rng = Rng::seed_from(0);
-    let run = run_service_isolated(
+    let run = run_service(
         &mut qd,
         &mut fed,
         &mut journal,
         &serve_config(),
         Some(&policy()),
-        iso,
         &mut rng,
-        None,
+        Some(iso),
     )
     .unwrap();
     assert!(!run.preempted, "{name}: the resumed run finishes");
     assert!(
-        run.resumed_units as usize >= kill.unit_index,
+        run.resumed_units as usize >= unit,
         "{name}: resume must not redo finished units"
     );
 
@@ -363,7 +375,7 @@ fn poisoned_mix_quarantines_exactly_the_byzantine_requests() {
     let shape = shape();
     let poison = UnlearnRequest::Client(byzantine());
     let seed = poison_seed();
-    let t = unfailed(&seed, &paths("poison_unfailed"), &iso());
+    let t = unfailed(&seed, &iso());
     assert_eq!(
         (model_fingerprint(&t.global), rng_fingerprint(&t.rng)),
         (0xc55b_c27a_ac89_26bc, 0xa330_6fa1_051a_8a73),
@@ -461,7 +473,7 @@ fn killed_poisoned_service_resumes_bit_for_bit_at_every_boundary_kind() {
     let shape = shape();
     let poison = UnlearnRequest::Client(byzantine());
     let seed = poison_seed();
-    let reference = unfailed(&seed, &paths("poison_kill_ref"), &iso());
+    let reference = unfailed(&seed, &iso());
 
     let first_poison = shape.poison_units[0];
     let last_clean = shape
@@ -475,10 +487,8 @@ fn killed_poisoned_service_resumes_bit_for_bit_at_every_boundary_kind() {
     kill_and_resume(
         &seed,
         &iso(),
-        ChaosKill {
-            unit_index: 0,
-            boundary: BatchPreempt::Received,
-        },
+        0,
+        (RequestState::Received, 1),
         "poison_kill_received",
         &reference,
     );
@@ -487,10 +497,8 @@ fn killed_poisoned_service_resumes_bit_for_bit_at_every_boundary_kind() {
     kill_and_resume(
         &seed,
         &iso(),
-        ChaosKill {
-            unit_index: first_poison,
-            boundary: BatchPreempt::Quarantined,
-        },
+        first_poison,
+        (RequestState::Quarantined, 1),
         "poison_kill_quarantined",
         &reference,
     );
@@ -499,10 +507,8 @@ fn killed_poisoned_service_resumes_bit_for_bit_at_every_boundary_kind() {
     kill_and_resume(
         &seed,
         &iso(),
-        ChaosKill {
-            unit_index: shape.mixed_unit,
-            boundary: BatchPreempt::Unlearned(1),
-        },
+        shape.mixed_unit,
+        (RequestState::Unlearned, 1),
         "poison_kill_mid_survivors",
         &reference,
     );
@@ -511,10 +517,8 @@ fn killed_poisoned_service_resumes_bit_for_bit_at_every_boundary_kind() {
     kill_and_resume(
         &seed,
         &iso(),
-        ChaosKill {
-            unit_index: shape.clean_unit,
-            boundary: BatchPreempt::Recovered,
-        },
+        shape.clean_unit,
+        (RequestState::Recovered, 1),
         "poison_kill_clean_recovered",
         &reference,
     );
@@ -522,10 +526,8 @@ fn killed_poisoned_service_resumes_bit_for_bit_at_every_boundary_kind() {
     kill_and_resume(
         &seed,
         &iso(),
-        ChaosKill {
-            unit_index: last_clean,
-            boundary: BatchPreempt::Recovered,
-        },
+        last_clean,
+        (RequestState::Recovered, 1),
         "poison_kill_last_clean",
         &reference,
     );
@@ -542,7 +544,7 @@ fn breaker_sheds_the_tripped_tenants_queue_and_resumes_bit_for_bit() {
         breaker_trip: 1,
         breaker_cooldown: 2,
     };
-    let reference = unfailed(&seed, &paths("poison_breaker_ref"), &biso);
+    let reference = unfailed(&seed, &biso);
 
     // The first quarantine trips the owner's breaker; later units with
     // that tenant's members are shed to FAILED without burning probes.
@@ -583,10 +585,8 @@ fn breaker_sheds_the_tripped_tenants_queue_and_resumes_bit_for_bit() {
     kill_and_resume(
         &seed,
         &biso,
-        ChaosKill {
-            unit_index: first_shed_unit,
-            boundary: BatchPreempt::Failed,
-        },
+        first_shed_unit,
+        (RequestState::Failed, 1),
         "poison_breaker_kill_failed",
         &reference,
     );
@@ -595,10 +595,8 @@ fn breaker_sheds_the_tripped_tenants_queue_and_resumes_bit_for_bit() {
     kill_and_resume(
         &seed,
         &biso,
-        ChaosKill {
-            unit_index: first_quarantine_unit,
-            boundary: BatchPreempt::Quarantined,
-        },
+        first_quarantine_unit,
+        (RequestState::Quarantined, 1),
         "poison_breaker_kill_quarantined",
         &reference,
     );
@@ -621,30 +619,17 @@ fn inactive_isolation_is_bit_for_bit_the_plain_service() {
         let vfs: Arc<dyn Vfs> = Arc::clone(&fs) as Arc<dyn Vfs>;
         let mut journal =
             RequestJournal::open_on(vfs, RequestJournal::path_for_checkpoint(&ckpt_path)).unwrap();
-        let run = if isolated {
-            run_service_isolated(
-                &mut qd,
-                &mut fed,
-                &mut journal,
-                &serve_config(),
-                Some(&policy()),
-                &IsolationConfig::default(),
-                &mut rng,
-                None,
-            )
-            .unwrap()
-        } else {
-            run_service(
-                &mut qd,
-                &mut fed,
-                &mut journal,
-                &serve_config(),
-                Some(&policy()),
-                &mut rng,
-                None,
-            )
-            .unwrap()
-        };
+        let inactive = IsolationConfig::default();
+        let run = run_service(
+            &mut qd,
+            &mut fed,
+            &mut journal,
+            &serve_config(),
+            Some(&policy()),
+            &mut rng,
+            isolated.then_some(&inactive),
+        )
+        .unwrap();
         assert!(run.dead_letter.is_empty());
         (
             fed.global().to_vec(),

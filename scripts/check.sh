@@ -38,6 +38,9 @@ echo "== qd-lint (--graph dot output matches the pinned fixture byte-for-byte)"
 echo "== cargo test"
 cargo test --offline --workspace -q
 
+echo "== repo benchmark builds (crates/bench/ledger against the current public API)"
+cargo build --release --offline --manifest-path crates/bench/ledger/Cargo.toml
+
 echo "== allocation gate (counting allocator, one batch-32 ConvNet local step: no backward tape nodes, large allocations at the pinned ceilings)"
 cargo test --offline -p qd-nn --test alloc_gate -q
 
